@@ -34,7 +34,7 @@ inline void PrintBanner(const char* experiment_id, const char* description,
 struct SolverRun {
   std::string solver;
   AssignmentMetrics metrics;
-  SolveInfo info;
+  SolveStats info;
 };
 
 inline SolverRun RunSolver(const Solver& solver, const MbtaProblem& problem,
@@ -46,11 +46,20 @@ inline SolverRun RunSolver(const Solver& solver, const MbtaProblem& problem,
   return run;
 }
 
-/// Solver line-up for size sweeps: the flow-based matching baseline is
-/// excluded (its augmenting-path count scales with the assignment size and
-/// dominates wall-clock at the largest sweep points) and local search is
-/// capped at two passes. See fig9 for the dedicated runtime study.
-std::vector<std::unique_ptr<Solver>> SweepSolvers(std::uint64_t seed);
+/// MakeSolver for the bench loops, with one override: local search is
+/// capped at two passes, because the smoke suite solves every row six
+/// times and the sweeps reach 4000 workers, where uncapped passes
+/// dominate the wall clock. The BENCH_ci.json counters depend on the cap.
+std::unique_ptr<Solver> MakeBenchSolver(std::string_view name,
+                                        std::uint64_t seed,
+                                        const LaborMarket& market);
+
+/// Solver line-up for size sweeps on the submodular objective: the
+/// registry minus exact flow and minus the solvers whose cost scales with
+/// the assignment size times the edge count (see SweepSolvers in
+/// bench_util.cc). See fig9 for the dedicated runtime study.
+std::vector<std::unique_ptr<Solver>> SweepSolvers(std::uint64_t seed,
+                                                  const LaborMarket& market);
 
 /// The four evaluation datasets at a common worker scale.
 inline std::vector<GeneratorConfig> StandardDatasets(std::size_t workers,
@@ -91,10 +100,11 @@ int ConsumeThreadsFlag(int* argc, char** argv);
 ///                                   "sum", "min", "max"}},
 ///              "phases": {path: {"ms", "calls"}}}]}
 ///
-/// Rows added via AddRow carry only params + metrics (no solver field);
-/// rows added via AddRun also record the solver name, its SolveStats
-/// counters, gauges, histograms, and phase timings. Schema history:
-/// v1 had no "histograms" object; v2 added it (bench_compare reads both).
+/// Rows added via AddRow carry only params + metrics (no solver field)
+/// unless given a run; rows added via AddRun also record the solver name,
+/// its SolveStats counters, gauges, histograms, and phase timings. Schema
+/// history: v1 had no "histograms" object; v2 added it (bench_compare
+/// reads both).
 class JsonLog {
  public:
   /// Ordered key/value pairs identifying a row within the experiment
@@ -121,8 +131,11 @@ class JsonLog {
   void AddRun(Params params, const SolverRun& run, Metrics extra = {});
 
   /// Records a generic metric row (experiments whose data points are not
-  /// solver runs, e.g. accuracy curves).
-  void AddRow(Params params, Metrics metrics);
+  /// solver runs, e.g. accuracy curves). With `run`, the row also carries
+  /// its solver name, counters, gauges, histograms and phase timings, but
+  /// of its metrics only `metrics` — for runs that measure just a few.
+  void AddRow(Params params, Metrics metrics,
+              const SolverRun* run = nullptr);
 
   /// Writes the document to `path`. Returns false (with a message on
   /// stderr) if the file cannot be written. Idempotent.

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     for (GreedySolver::Mode mode :
          {GreedySolver::Mode::kLazy, GreedySolver::Mode::kPlain}) {
       const GreedySolver solver(mode);
-      SolveInfo info;
-      const Assignment a = solver.Solve(p, &info);
+      SolveStats info;
+      const Assignment a = solver.Solve(p, {}, &info);
       json.AddRow({{"panel", "a"}, {"mode", solver.name()}},
                   {{"mutual_benefit", obj.Value(a)},
                    {"gain_evaluations",
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
     for (int passes : {0, 1, 2, 4, 8}) {
       LocalSearchSolver::Options opts;
       opts.max_passes = passes;
-      SolveInfo info;
-      const Assignment a = LocalSearchSolver(opts).Solve(p, &info);
+      SolveStats info;
+      const Assignment a = LocalSearchSolver(opts).Solve(p, {}, &info);
       const double value = obj.Value(a);
       json.AddRow({{"panel", "b"}, {"passes", std::to_string(passes)}},
                   {{"mutual_benefit", value},
@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
     std::printf("(c) threshold-greedy epsilon\n");
     Table table({"epsilon", "MB", "gain evals", "time(ms)"});
     for (double eps : {0.5, 0.2, 0.1, 0.05, 0.02}) {
-      SolveInfo info;
-      const Assignment a = ThresholdSolver(eps).Solve(p, &info);
+      SolveStats info;
+      const Assignment a = ThresholdSolver(eps).Solve(p, {}, &info);
       json.AddRow({{"panel", "c"}, {"epsilon", Table::Num(eps)}},
                   {{"mutual_benefit", obj.Value(a)},
                    {"gain_evaluations",

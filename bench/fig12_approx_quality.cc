@@ -9,11 +9,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/baseline_solvers.h"
 #include "core/brute_force_solver.h"
-#include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/threshold_solver.h"
 #include "util/rng.h"
 
 namespace {
@@ -60,13 +56,8 @@ int main(int argc, char** argv) {
   bench::JsonLog json(argc, argv, "fig12",
                       "random small markets, alpha=0.5, submodular");
 
-  const GreedySolver greedy;
-  const LocalSearchSolver local_search;
-  const ThresholdSolver threshold(0.1);
-  const MatchingSolver matching;
-  const RandomSolver random(3);
-  const Solver* solvers[] = {&greedy, &local_search, &threshold, &matching,
-                             &random};
+  constexpr std::string_view solvers[] = {"greedy", "local-search",
+                                          "threshold", "matching", "random"};
 
   std::vector<std::vector<double>> ratios(std::size(solvers));
   Rng rng(42);
@@ -81,7 +72,8 @@ int main(int argc, char** argv) {
     if (optimum <= 0.0) continue;
     ++instances;
     for (std::size_t s = 0; s < std::size(solvers); ++s) {
-      ratios[s].push_back(obj.Value(solvers[s]->Solve(p)) / optimum);
+      ratios[s].push_back(
+          obj.Value(MakeSolver(solvers[s], 3, market)->Solve(p)) / optimum);
     }
   }
 
@@ -94,11 +86,11 @@ int main(int argc, char** argv) {
       min = std::min(min, r);
       if (r > 1.0 - 1e-9) ++exact;
     }
-    json.AddRow({{"solver", solvers[s]->name()}},
+    json.AddRow({{"solver", std::string(solvers[s])}},
                 {{"mean_ratio", sum / static_cast<double>(ratios[s].size())},
                  {"min_ratio", min},
                  {"instances_exact", static_cast<double>(exact)}});
-    table.AddRow({solvers[s]->name(),
+    table.AddRow({std::string(solvers[s]),
                   Table::Num(sum / static_cast<double>(ratios[s].size())),
                   Table::Num(min), Table::Num(exact)});
   }

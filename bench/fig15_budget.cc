@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   for (double fraction :
        {0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0}) {
     const BudgetConstraint budget = ProportionalBudgets(market, fraction);
-    SolveInfo info;
-    const Assignment a = BudgetedGreedySolver(budget).Solve(p, &info);
+    SolveStats info;
+    const Assignment a = BudgetedGreedySolver(budget).Solve(p, {}, &info);
     const double value = obj.Value(a);
     json.AddRow({{"budget_fraction", Table::Num(fraction)}},
                 {{"mutual_benefit", value},

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
         GenerateMarket(MTurkLikeConfig(workers, 42));
     const MbtaProblem p{&market,
                         {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-    for (const auto& solver : bench::SweepSolvers(7)) {
+    for (const auto& solver : bench::SweepSolvers(7, market)) {
       const bench::SolverRun run = bench::RunSolver(*solver, p);
       json.AddRun({{"workers", std::to_string(workers)}}, run);
       table.AddRow({Table::Num(static_cast<std::int64_t>(workers)),

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     const LaborMarket market = GenerateMarket(config);
     const MbtaProblem p{&market,
                         {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-    for (const auto& solver : bench::SweepSolvers(7)) {
+    for (const auto& solver : bench::SweepSolvers(7, market)) {
       const bench::SolverRun run = bench::RunSolver(*solver, p);
       json.AddRun({{"worker_capacity", std::to_string(cap)}}, run);
       table.AddRow(

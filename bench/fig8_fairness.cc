@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
 
   Table table({"solver", "jain", "gini", "active min", "active P50",
                "active workers"});
-  for (const auto& solver :
-       MakeStandardSolvers(7, /*include_exact_flow=*/false)) {
-    const bench::SolverRun run = bench::RunSolver(*solver, p);
+  for (const SolverEntry& entry : SolverRegistry()) {
+    if (entry.modular_only) continue;
+    const bench::SolverRun run = bench::RunSolver(*entry.make(7, market), p);
     // Jain/Gini over all employable workers (unemployment counts as
     // inequality); percentiles over those who actually earned something.
     const auto& benefits = run.metrics.per_worker_benefit;

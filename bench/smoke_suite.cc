@@ -24,16 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/baseline_solvers.h"
-#include "core/budgeted_greedy_solver.h"
-#include "core/exact_flow_solver.h"
-#include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/online_solvers.h"
-#include "core/parallel_greedy_solver.h"
 #include "core/solver.h"
-#include "core/stable_matching_solver.h"
-#include "core/threshold_solver.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
 #include "service/market_service.h"
@@ -52,32 +43,17 @@ struct Workload {
   ObjectiveParams objective;
 };
 
-/// Solver line-up for the smoke suite: every solver family in
-/// MakeStandardSolvers (minus exact-flow, which needs the modular
-/// objective and gets its own workload below) plus the online and
-/// budgeted families and plain greedy, so every instrumented counter
-/// family shows up in the emitted JSON. Local search is capped at two
-/// passes — each row is solved six times (repeats + determinism checks)
-/// and uncapped passes would dominate the suite's wall clock.
+/// Solver line-up for the submodular smoke workloads: the whole registry
+/// (bench::MakeBenchSolver caps local search), so every instrumented
+/// counter family shows up in the emitted JSON — except exact flow, which
+/// needs the modular objective, and the parallel family, which both get
+/// their own workloads below.
 std::vector<std::unique_ptr<Solver>> SmokeSolvers(const LaborMarket& market) {
   std::vector<std::unique_ptr<Solver>> solvers;
-  solvers.push_back(std::make_unique<GreedySolver>());
-  solvers.push_back(std::make_unique<ThresholdSolver>());
-  LocalSearchSolver::Options ls;
-  ls.max_passes = 2;
-  solvers.push_back(std::make_unique<LocalSearchSolver>(ls));
-  solvers.push_back(std::make_unique<MatchingSolver>());
-  solvers.push_back(std::make_unique<StableMatchingSolver>());
-  solvers.push_back(std::make_unique<WorkerCentricSolver>());
-  solvers.push_back(std::make_unique<RequesterCentricSolver>());
-  solvers.push_back(std::make_unique<RandomSolver>(7));
-  solvers.push_back(
-      std::make_unique<GreedySolver>(GreedySolver::Mode::kPlain));
-  solvers.push_back(std::make_unique<OnlineGreedySolver>(7));
-  solvers.push_back(std::make_unique<TaskArrivalGreedySolver>(7));
-  solvers.push_back(std::make_unique<TwoPhaseOnlineSolver>(7));
-  solvers.push_back(std::make_unique<BudgetedGreedySolver>(
-      ProportionalBudgets(market, 0.5)));
+  for (const SolverEntry& entry : SolverRegistry()) {
+    if (entry.modular_only || entry.parallel) continue;
+    solvers.push_back(bench::MakeBenchSolver(entry.name, 7, market));
+  }
   return solvers;
 }
 
@@ -171,7 +147,7 @@ bool RunOne(const Solver& solver, const MbtaProblem& problem, int repeats,
   out->solver = solver.name();
   Histogram solve_ms(LatencyBoundariesMs());
   for (int i = 0; i < repeats; ++i) {
-    SolveInfo info;
+    SolveStats info;
     if (i == 0) info.phases.set_tracer(tracer);
     const Assignment instrumented = solver.Solve(problem, options, &info);
     if (instrumented.edges != plain.edges) {
@@ -261,12 +237,11 @@ int main(int argc, char** argv) {
                            GenerateMarket(MTurkLikeConfig(300, 42)),
                            {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
     const MbtaProblem p{&modular.market, modular.objective};
-    const ExactFlowSolver exact;
-    const GreedySolver greedy;
-    for (const Solver* solver : {static_cast<const Solver*>(&exact),
-                                 static_cast<const Solver*>(&greedy)}) {
+    for (const char* name : {"exact-flow", "greedy"}) {
       bench::SolverRun run;
-      ok = RunOne(*solver, p, kRepeats, &run, {}, tracer) && ok;
+      ok = RunOne(*MakeSolver(name, 7, modular.market), p, kRepeats, &run,
+                  {}, tracer) &&
+           ok;
       report(modular, run);
     }
   }
@@ -285,23 +260,22 @@ int main(int argc, char** argv) {
                        GenerateMarket(UniformConfig(350, 350, 42)),
                        {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
     const MbtaProblem p{&par.market, par.objective};
-    const GreedySolver serial_lazy;
-    const GreedySolver serial_plain(GreedySolver::Mode::kPlain);
-    for (const Solver* solver : {static_cast<const Solver*>(&serial_lazy),
-                                 static_cast<const Solver*>(&serial_plain)}) {
+    for (const char* name : {"greedy", "greedy-plain"}) {
       bench::SolverRun run;
-      ok = RunOne(*solver, p, kRepeats, &run, {}, tracer) && ok;
+      ok = RunOne(*MakeSolver(name, 7, par.market), p, kRepeats, &run, {},
+                  tracer) &&
+           ok;
       report(par, run);
     }
-    const ParallelGreedySolver lazy(ParallelGreedySolver::Mode::kLazy);
-    const ParallelGreedySolver plain(ParallelGreedySolver::Mode::kPlain);
     for (const int threads : {1, 8}) {
       SolveOptions options;
       options.threads = threads;
-      for (const Solver* solver : {static_cast<const Solver*>(&lazy),
-                                   static_cast<const Solver*>(&plain)}) {
+      for (const SolverEntry& entry : SolverRegistry()) {
+        if (!entry.parallel) continue;
         bench::SolverRun run;
-        ok = RunOne(*solver, p, kRepeats, &run, options, tracer) && ok;
+        ok = RunOne(*entry.make(7, par.market), p, kRepeats, &run, options,
+                    tracer) &&
+             ok;
         report(par, run, threads);
       }
     }
@@ -377,8 +351,21 @@ int main(int argc, char** argv) {
     run.info.histograms.Add("latency/epoch_ms", epoch_ms);
     run.info.counters.SetGauge("mem/peak_rss_kb",
                                static_cast<double>(PeakRssKb()));
-    const Workload churn{"service-churn-600", LaborMarket{}, {}};
-    report(churn, run);
+    // The service measures only these; per-side benefits and coverage
+    // are solver-run metrics it does not compute.
+    json.AddRow({{"workload", "service-churn-600"}},
+                {{"mutual_benefit", run.metrics.mutual_benefit},
+                 {"num_assignments",
+                  static_cast<double>(run.metrics.num_assignments)},
+                 {"wall_ms", run.info.wall_ms},
+                 {"gain_evaluations",
+                  static_cast<double>(run.info.gain_evaluations)}},
+                &run);
+    table.AddRow({"service-churn-600", run.solver, "-",
+                  Table::Num(run.metrics.mutual_benefit),
+                  Table::Num(run.info.wall_ms),
+                  Table::Num(static_cast<std::int64_t>(
+                      run.info.gain_evaluations))});
   }
 
   std::printf("%s\n", table.ToString().c_str());

@@ -78,72 +78,12 @@ run_suite() {
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" ${label_args})
 }
 
-# Runs a command, swallowing its output, and asserts its exit status.
 # The mbta_cli exit codes are a documented contract (see CONTRIBUTING.md
-# "Robustness"); this catches a refactor that silently collapses them.
-expect_exit() {
-  local want="$1"; shift
-  local got=0
-  "$@" >/dev/null 2>&1 || got=$?
-  if [ "${got}" -ne "${want}" ]; then
-    echo "check.sh: ERROR: '$*' exited ${got}, want ${want}" >&2
-    exit 1
-  fi
-}
-
+# "Robustness"); scripts/cli_smoke.sh (shared with CI) asserts them.
 cli_smoke() {
   echo "=== mbta_cli exit-code smoke (build/) ==="
   cmake --build build -j "${JOBS}" --target mbta_cli
-  local cli=build/tools/mbta_cli
-  local tmp
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "${tmp}"' RETURN
-
-  # 0: a normal generate + solve round trip succeeds.
-  expect_exit 0 "${cli}" generate --dataset uniform --workers 30 \
-      --tasks 30 --seed 7 --out "${tmp}/m.market"
-  expect_exit 0 "${cli}" solve --market "${tmp}/m.market" \
-      --solver greedy --out "${tmp}/a.assignment"
-  # 1: usage errors — unknown command, unknown solver.
-  expect_exit 1 "${cli}" frobnicate
-  expect_exit 1 "${cli}" solve --market "${tmp}/m.market" \
-      --solver no-such-solver --out "${tmp}/x.assignment"
-  # 2: bad input — a corrupt market file parses to a clean error.
-  printf 'mbta-market v1\nname x\nworkers nan\n' > "${tmp}/bad.market"
-  expect_exit 2 "${cli}" stats --market "${tmp}/bad.market"
-  # 3: degraded — a zero work budget still writes a best-effort answer.
-  expect_exit 3 "${cli}" solve --market "${tmp}/m.market" \
-      --solver greedy --work-budget 0 --out "${tmp}/d.assignment"
-  # The degraded run must still have produced a loadable assignment.
-  expect_exit 0 "${cli}" evaluate --market "${tmp}/m.market" \
-      --assignment "${tmp}/d.assignment"
-
-  # The serve/replay pair follows the same taxonomy. A scripted serve
-  # writes a WAL; replaying that WAL must recover (0) and do so
-  # deterministically (two --dump-state replays are byte-identical); a
-  # WAL with a foreign magic is bad input (2); a zero work budget runs
-  # the epochs best-effort and reports degraded (3).
-  {
-    printf 'add-worker 1 2 0.1 1.0 0.9\n'
-    printf 'add-worker 2 1 0.2 1.0 0.8\n'
-    printf 'add-task 100 1 1.5 2.0 0.2 0\n'
-    printf 'add-task 101 2 1.0 1.0 0.1 0\n'
-    printf 'epoch\n'
-    printf 'task-payment 100 2.5\n'
-    printf 'rm-worker 2\n'
-    printf 'epoch\n'
-  } > "${tmp}/serve.script"
-  expect_exit 0 "${cli}" serve --script "${tmp}/serve.script" \
-      --wal "${tmp}/serve.wal" --snapshot-every 1
-  expect_exit 0 "${cli}" replay --wal "${tmp}/serve.wal"
-  "${cli}" replay --wal "${tmp}/serve.wal" --dump-state > "${tmp}/r1.txt"
-  "${cli}" replay --wal "${tmp}/serve.wal" --dump-state > "${tmp}/r2.txt"
-  diff "${tmp}/r1.txt" "${tmp}/r2.txt"
-  printf 'NOTAWAL!' > "${tmp}/foreign.wal"
-  expect_exit 2 "${cli}" replay --wal "${tmp}/foreign.wal"
-  expect_exit 3 "${cli}" serve --script "${tmp}/serve.script" \
-      --work-budget 0
-  echo "check.sh: mbta_cli exit codes 0/1/2/3 verified (solve + serve)"
+  scripts/cli_smoke.sh build/tools/mbta_cli
 }
 
 # Diffs a fresh smoke-suite run against the committed BENCH_ci.json

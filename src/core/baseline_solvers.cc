@@ -17,7 +17,7 @@ namespace mbta {
 
 Assignment RandomSolver::Solve(const MbtaProblem& problem,
                                const SolveOptions& options,
-                               SolveInfo* info) const {
+                               SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   WallTimer timer;
   PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;
@@ -63,7 +63,7 @@ Assignment RandomSolver::Solve(const MbtaProblem& problem,
 
 Assignment WorkerCentricSolver::Solve(const MbtaProblem& problem,
                                       const SolveOptions& options,
-                                      SolveInfo* info) const {
+                                      SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   WallTimer timer;
   PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;
@@ -119,7 +119,7 @@ Assignment WorkerCentricSolver::Solve(const MbtaProblem& problem,
 
 Assignment RequesterCentricSolver::Solve(const MbtaProblem& problem,
                                          const SolveOptions& options,
-                                         SolveInfo* info) const {
+                                         SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   WallTimer timer;
   PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;
@@ -175,7 +175,7 @@ Assignment RequesterCentricSolver::Solve(const MbtaProblem& problem,
 
 Assignment MatchingSolver::Solve(const MbtaProblem& problem,
                                  const SolveOptions& options,
-                                 SolveInfo* info) const {
+                                 SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   WallTimer timer;
   PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;

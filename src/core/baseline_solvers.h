@@ -17,11 +17,10 @@ class RandomSolver : public Solver {
 
   std::string name() const override { return "random"; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per candidate edge scanned.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
  private:
   std::uint64_t seed_;
@@ -37,11 +36,10 @@ class WorkerCentricSolver : public Solver {
 
   std::string name() const override { return "worker-centric"; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per candidate edge scanned.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 };
 
 /// Requester-centric baseline: every task grabs its highest-quality
@@ -54,11 +52,10 @@ class RequesterCentricSolver : public Solver {
 
   std::string name() const override { return "requester-centric"; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per candidate edge scanned.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 };
 
 /// Maximum-weight bipartite *matching* on the edge weights with unit
@@ -72,12 +69,11 @@ class MatchingSolver : public Solver {
 
   std::string name() const override { return "matching"; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per augmenting-path attempt in
   /// the unit-capacity min-cost flow; the partial matching is feasible.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 };
 
 }  // namespace mbta

@@ -62,7 +62,7 @@ struct SearchContext {
 
 Assignment BruteForceSolver::Solve(const MbtaProblem& problem,
                                    const SolveOptions& options,
-                                   SolveInfo* info) const {
+                                   SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   MBTA_CHECK_MSG(problem.market->NumEdges() <= max_edges_,
                  "brute force limited to %zu edges, got %zu", max_edges_,

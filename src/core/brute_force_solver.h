@@ -22,13 +22,12 @@ class BruteForceSolver : public Solver {
 
   std::string name() const override { return "brute-force"; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per search-tree node visited. On
   /// expiry the best complete subset found so far is returned (the
   /// search keeps the incumbent feasible at all times).
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
  private:
   std::size_t max_edges_;

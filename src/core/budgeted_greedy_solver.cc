@@ -89,7 +89,7 @@ Assignment GreedyPass(const MutualBenefitObjective& objective,
 
 Assignment BudgetedGreedySolver::Solve(const MbtaProblem& problem,
                                        const SolveOptions& options,
-                                       SolveInfo* info) const {
+                                       SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   MBTA_CHECK(budget_.budgets.size() >= NumRequesters(*problem.market));
   WallTimer timer;

@@ -27,13 +27,12 @@ class BudgetedGreedySolver : public Solver {
 
   const BudgetConstraint& budget() const { return budget_; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per marginal-gain evaluation,
   /// shared across both passes; the density pass is skipped entirely
   /// when the gate expires during the gain pass.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
  private:
   BudgetConstraint budget_;

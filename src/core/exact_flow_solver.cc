@@ -15,7 +15,7 @@ namespace mbta {
 
 Assignment ExactFlowSolver::Solve(const MbtaProblem& problem,
                                   const SolveOptions& options,
-                                  SolveInfo* info) const {
+                                  SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   MBTA_CHECK_MSG(problem.objective.kind == ObjectiveKind::kModular,
                  "ExactFlowSolver requires the modular objective");

@@ -22,7 +22,6 @@ class ExactFlowSolver : public Solver {
 
   std::string name() const override { return "exact-flow"; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per augmenting-path attempt in
   /// the min-cost-flow core. On expiry the partial flow is decomposed
   /// into an assignment — every full augmentation keeps the flow
@@ -31,7 +30,7 @@ class ExactFlowSolver : public Solver {
   /// network arc during graph construction.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
   /// Fixed-point scale for benefit-to-cost conversion.
   static constexpr double kScale = 1e6;

@@ -4,9 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "core/baseline_solvers.h"
-#include "core/exact_flow_solver.h"
-#include "core/greedy_solver.h"
 #include "obs/phase_timer.h"
 #include "util/check.h"
 #include "util/deadline.h"
@@ -43,7 +40,7 @@ FallbackSolver::FallbackSolver(std::vector<Stage> stages, Options options)
 
 Assignment FallbackSolver::Solve(const MbtaProblem& problem,
                                  const SolveOptions& options,
-                                 SolveInfo* info) const {
+                                 SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   WallTimer timer;
   PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;
@@ -171,12 +168,14 @@ Assignment FallbackSolver::Solve(const MbtaProblem& problem,
 
 std::unique_ptr<FallbackSolver> MakeStandardFallbackChain(
     const DeadlineBudget& stage_budget) {
+  // None of the three stages reads the market at construction.
+  const LaborMarket no_market;
   std::vector<FallbackSolver::Stage> stages;
-  stages.push_back({std::make_shared<ExactFlowSolver>(), stage_budget});
-  stages.push_back({std::make_shared<GreedySolver>(), stage_budget});
+  stages.push_back({MakeSolver("exact-flow", 0, no_market), stage_budget});
+  stages.push_back({MakeSolver("greedy", 0, no_market), stage_budget});
   // The floor runs unbudgeted: worker-centric is linear-ish in the edge
   // count and must always deliver a complete feasible assignment.
-  stages.push_back({std::make_shared<WorkerCentricSolver>(),
+  stages.push_back({MakeSolver("worker-centric", 0, no_market),
                     DeadlineBudget{}});
   return std::make_unique<FallbackSolver>(std::move(stages));
 }

@@ -54,10 +54,9 @@ class FallbackSolver : public Solver {
 
   std::string name() const override { return "fallback"; }
 
-  using Solver::Solve;
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
   std::size_t num_stages() const { return stages_.size(); }
 

@@ -30,13 +30,12 @@ class GreedySolver : public Solver {
     return mode_ == Mode::kLazy ? "greedy" : "greedy-plain";
   }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per marginal-gain evaluation
   /// (kPlain) / per heap pop re-evaluation (kLazy). On expiry the
   /// current prefix of accepted edges is returned — always feasible.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
  private:
   Mode mode_;

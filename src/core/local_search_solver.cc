@@ -186,7 +186,7 @@ bool TryAdmit(ObjectiveState& state, EdgeId e, double min_gain,
 
 Assignment LocalSearchSolver::Solve(const MbtaProblem& problem,
                                     const SolveOptions& options,
-                                    SolveInfo* info) const {
+                                    SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   WallTimer timer;
   PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;
@@ -207,7 +207,7 @@ Assignment LocalSearchSolver::Solve(const MbtaProblem& problem,
 
   if (options_.greedy_init) {
     ScopedPhase phase(phases, "greedy_init");
-    SolveInfo greedy_info;
+    SolveStats greedy_info;
     // The seed solve draws from *this* solve's gate, so the overall
     // budget covers initialization + improvement together.
     SolveOptions seed_options = options;

@@ -35,14 +35,13 @@ class LocalSearchSolver : public Solver {
 
   const Options& options() const { return options_; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per attempted add/swap move, with
   /// the greedy initialization drawing from the same gate. Checked only
   /// *between* moves (each move commits or fully reverts), so an expired
   /// budget still leaves a consistent, feasible assignment.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
  private:
   Options options_{};

@@ -77,7 +77,7 @@ std::vector<WorkerId> RandomArrivalOrder(std::size_t num_workers,
 
 Assignment OnlineGreedySolver::Solve(const MbtaProblem& problem,
                                      const SolveOptions& options,
-                                     SolveInfo* info) const {
+                                     SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   return SolveWithOrder(
       problem, RandomArrivalOrder(problem.market->NumWorkers(), seed_),
@@ -86,7 +86,7 @@ Assignment OnlineGreedySolver::Solve(const MbtaProblem& problem,
 
 Assignment OnlineGreedySolver::SolveWithOrder(
     const MbtaProblem& problem, const std::vector<WorkerId>& order,
-    const SolveOptions& options, SolveInfo* info) const {
+    const SolveOptions& options, SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   MBTA_CHECK(order.size() == problem.market->NumWorkers());
   WallTimer timer;
@@ -131,7 +131,7 @@ std::vector<TaskId> RandomTaskArrivalOrder(std::size_t num_tasks,
 
 Assignment TaskArrivalGreedySolver::Solve(const MbtaProblem& problem,
                                           const SolveOptions& options,
-                                          SolveInfo* info) const {
+                                          SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   return SolveWithOrder(
       problem, RandomTaskArrivalOrder(problem.market->NumTasks(), seed_),
@@ -140,7 +140,7 @@ Assignment TaskArrivalGreedySolver::Solve(const MbtaProblem& problem,
 
 Assignment TaskArrivalGreedySolver::SolveWithOrder(
     const MbtaProblem& problem, const std::vector<TaskId>& order,
-    const SolveOptions& options, SolveInfo* info) const {
+    const SolveOptions& options, SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   MBTA_CHECK(order.size() == problem.market->NumTasks());
   WallTimer timer;
@@ -196,7 +196,7 @@ Assignment TaskArrivalGreedySolver::SolveWithOrder(
 
 Assignment TwoPhaseOnlineSolver::Solve(const MbtaProblem& problem,
                                        const SolveOptions& options,
-                                       SolveInfo* info) const {
+                                       SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   return SolveWithOrder(
       problem, RandomArrivalOrder(problem.market->NumWorkers(), seed_),
@@ -205,7 +205,7 @@ Assignment TwoPhaseOnlineSolver::Solve(const MbtaProblem& problem,
 
 Assignment TwoPhaseOnlineSolver::SolveWithOrder(
     const MbtaProblem& problem, const std::vector<WorkerId>& order,
-    const SolveOptions& solve_options, SolveInfo* info) const {
+    const SolveOptions& solve_options, SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   MBTA_CHECK(order.size() == problem.market->NumWorkers());
   MBTA_CHECK(options_.sample_fraction >= 0.0 &&

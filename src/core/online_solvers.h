@@ -24,24 +24,18 @@ class OnlineGreedySolver : public Solver {
 
   std::string name() const override { return "online-greedy"; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per marginal-gain evaluation.
   /// Expiry stops admitting arrivals; matches already committed stand.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
   /// Deterministic variant driven by an explicit arrival order, so
   /// experiments can hold the order fixed across algorithms.
   Assignment SolveWithOrder(const MbtaProblem& problem,
                             const std::vector<WorkerId>& order,
-                            SolveInfo* info) const {
-    return SolveWithOrder(problem, order, SolveOptions{}, info);
-  }
-  Assignment SolveWithOrder(const MbtaProblem& problem,
-                            const std::vector<WorkerId>& order,
                             const SolveOptions& options = {},
-                            SolveInfo* info = nullptr) const;
+                            SolveStats* info = nullptr) const;
 
  private:
   std::uint64_t seed_;
@@ -60,21 +54,15 @@ class TaskArrivalGreedySolver : public Solver {
 
   std::string name() const override { return "online-task-greedy"; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per marginal-gain evaluation.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
   Assignment SolveWithOrder(const MbtaProblem& problem,
                             const std::vector<TaskId>& order,
-                            SolveInfo* info) const {
-    return SolveWithOrder(problem, order, SolveOptions{}, info);
-  }
-  Assignment SolveWithOrder(const MbtaProblem& problem,
-                            const std::vector<TaskId>& order,
                             const SolveOptions& options = {},
-                            SolveInfo* info = nullptr) const;
+                            SolveStats* info = nullptr) const;
 
  private:
   std::uint64_t seed_;
@@ -104,22 +92,16 @@ class TwoPhaseOnlineSolver : public Solver {
 
   const Options& options() const { return options_; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per marginal-gain evaluation,
   /// across both the sampling and the thresholded phase.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
   Assignment SolveWithOrder(const MbtaProblem& problem,
                             const std::vector<WorkerId>& order,
-                            SolveInfo* info) const {
-    return SolveWithOrder(problem, order, SolveOptions{}, info);
-  }
-  Assignment SolveWithOrder(const MbtaProblem& problem,
-                            const std::vector<WorkerId>& order,
                             const SolveOptions& solve_options = {},
-                            SolveInfo* info = nullptr) const;
+                            SolveStats* info = nullptr) const;
 
  private:
   std::uint64_t seed_;

@@ -323,7 +323,7 @@ Assignment SolvePlain(const MutualBenefitObjective& objective, Arena* arena,
 
 Assignment ParallelGreedySolver::Solve(const MbtaProblem& problem,
                                        const SolveOptions& options,
-                                       SolveInfo* info) const {
+                                       SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   WallTimer timer;
   ScopedPhase solve_phase(info != nullptr ? &info->phases : nullptr,

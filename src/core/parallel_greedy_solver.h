@@ -36,7 +36,6 @@ class ParallelGreedySolver : public Solver {
     return mode_ == Mode::kLazy ? "parallel-greedy" : "parallel-greedy-plain";
   }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per marginal-gain evaluation,
   /// charged per batch (so expiry lands on a batch boundary; the
   /// committed prefix is returned and is always feasible). The stopping
@@ -44,7 +43,7 @@ class ParallelGreedySolver : public Solver {
   /// thread count, because batch composition never depends on it.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
  private:
   Mode mode_;

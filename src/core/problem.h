@@ -82,11 +82,6 @@ struct SolveStats {
   TraceSnapshot flight;
 };
 
-/// Historic name of SolveStats, kept as an alias so pre-instrumentation
-/// call sites (`SolveInfo info; solver.Solve(p, &info);`) compile
-/// unchanged.
-using SolveInfo = SolveStats;
-
 }  // namespace mbta
 
 #endif  // MBTA_CORE_PROBLEM_H_

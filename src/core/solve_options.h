@@ -13,8 +13,8 @@ namespace mbta {
 /// Per-call solve configuration, threaded through Solver::Solve. The
 /// default-constructed value reproduces the unbudgeted behaviour exactly:
 /// with `budget.unlimited()`, no fault injector and no cancel flag, every
-/// solver returns output byte-identical to `Solve(problem, info)`
-/// (enforced by tests/differential_test.cc).
+/// solver returns output byte-identical to `Solve(problem)` (enforced by
+/// tests/differential_test.cc).
 struct SolveOptions {
   /// Work-unit and wall-clock budget for this solve. On expiry the
   /// solver stops cooperatively and returns its best-so-far *feasible*

@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "core/problem.h"
 #include "core/solve_options.h"
@@ -22,13 +23,6 @@ class Solver {
   /// Short stable identifier used in experiment tables, e.g. "greedy".
   virtual std::string name() const = 0;
 
-  /// Historic entry point, kept callable on every solver: equivalent to
-  /// Solve(problem, SolveOptions{}, info). Implementations bring it into
-  /// scope with `using Solver::Solve;`.
-  Assignment Solve(const MbtaProblem& problem, SolveInfo* info) const {
-    return Solve(problem, SolveOptions{}, info);
-  }
-
   /// Computes a feasible assignment for the problem. `info`, when
   /// non-null, receives timing and work counters. `options` carries the
   /// robustness knobs (DeadlineBudget, fault injection, cancellation);
@@ -38,14 +32,38 @@ class Solver {
   /// invalid one.
   virtual Assignment Solve(const MbtaProblem& problem,
                            const SolveOptions& options = {},
-                           SolveInfo* info = nullptr) const = 0;
+                           SolveStats* info = nullptr) const = 0;
 };
 
-/// The standard solver line-up used by the experiment harness, in display
-/// order: exact flow (modular only), greedy, threshold, local search, then
-/// the one-sided and matching baselines. `seed` feeds the randomized ones.
-std::vector<std::unique_ptr<Solver>> MakeStandardSolvers(
-    std::uint64_t seed, bool include_exact_flow);
+/// One user-selectable solver of the registry.
+struct SolverEntry {
+  /// Equal to the built solver's name().
+  std::string_view name;
+  /// `seed` feeds the randomized solvers; `market` configures the ones
+  /// that derive parameters from it (budgeted-greedy's budgets).
+  std::unique_ptr<Solver> (*make)(std::uint64_t seed,
+                                  const LaborMarket& market);
+  /// Rejects submodular objectives (exact flow).
+  bool modular_only = false;
+  /// Honors SolveOptions::threads.
+  bool parallel = false;
+};
+
+/// Every user-selectable solver, in display order: exact flow (modular
+/// only), greedy, threshold, local search, the matching and one-sided
+/// baselines, then plain greedy, the online, budgeted and parallel
+/// families. The CLI, the benches and the cross-solver test suites all
+/// iterate this list; BruteForceSolver (the tests' oracle) and
+/// FallbackSolver (a composite) are not in it.
+std::span<const SolverEntry> SolverRegistry();
+
+/// The registry's names, in the same order.
+std::span<const std::string_view> SolverNames();
+
+/// Builds the named registry solver, or returns nullptr for an unknown
+/// name.
+std::unique_ptr<Solver> MakeSolver(std::string_view name, std::uint64_t seed,
+                                   const LaborMarket& market);
 
 }  // namespace mbta
 

@@ -28,7 +28,7 @@ struct Held {
 
 Assignment StableMatchingSolver::Solve(const MbtaProblem& problem,
                                        const SolveOptions& options,
-                                       SolveInfo* info) const {
+                                       SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   WallTimer timer;
   PhaseTimings* phases = info != nullptr ? &info->phases : nullptr;

@@ -25,13 +25,12 @@ class StableMatchingSolver : public Solver {
 
   std::string name() const override { return "stable-da"; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per proposal. The tentative
   /// held-sets are capacity-feasible after every proposal, so expiry
   /// returns a feasible (possibly not yet stable) assignment.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 };
 
 /// True iff `a` is stable in `market`: there is no blocking pair (w, t) ∈ E

@@ -13,7 +13,7 @@ namespace mbta {
 
 Assignment ThresholdSolver::Solve(const MbtaProblem& problem,
                                   const SolveOptions& options,
-                                  SolveInfo* info) const {
+                                  SolveStats* info) const {
   MBTA_CHECK(problem.market != nullptr);
   MBTA_CHECK(epsilon_ > 0.0 && epsilon_ < 1.0);
   WallTimer timer;

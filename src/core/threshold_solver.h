@@ -20,12 +20,11 @@ class ThresholdSolver : public Solver {
 
   double epsilon() const { return epsilon_; }
 
-  using Solver::Solve;
   /// Budget granularity: one work unit per marginal-gain evaluation in
   /// the τ-sweep. On expiry the edges admitted so far are returned.
   Assignment Solve(const MbtaProblem& problem,
                    const SolveOptions& options = {},
-                   SolveInfo* info = nullptr) const override;
+                   SolveStats* info = nullptr) const override;
 
  private:
   double epsilon_;

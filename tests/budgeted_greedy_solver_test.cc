@@ -142,8 +142,8 @@ TEST(BudgetedGreedySolverTest, InfoPopulated) {
   const MbtaProblem p{&m,
                       {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
   BudgetConstraint budget = ProportionalBudgets(m, 0.5);
-  SolveInfo info;
-  BudgetedGreedySolver(budget).Solve(p, &info);
+  SolveStats info;
+  BudgetedGreedySolver(budget).Solve(p, {}, &info);
   EXPECT_GE(info.wall_ms, 0.0);
   if (m.NumEdges() > 0) {
     EXPECT_GT(info.gain_evaluations, 0u);

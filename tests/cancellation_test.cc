@@ -36,11 +36,10 @@ TEST(CancellationTest, PreSetFlagCancelsEveryStandardSolver) {
   std::atomic<bool> cancel{true};
   SolveOptions options;
   options.cancel = &cancel;
-  for (const auto& solver :
-       MakeStandardSolvers(seed, /*include_exact_flow=*/true)) {
-    SCOPED_TRACE("solver=" + solver->name());
+  for (const SolverEntry& entry : SolverRegistry()) {
+    SCOPED_TRACE("solver=" + std::string(entry.name));
     SolveStats stats;
-    const Assignment a = solver->Solve(p, options, &stats);
+    const Assignment a = entry.make(seed, market)->Solve(p, options, &stats);
     const ValidationResult r = ValidateAssignment(p, a);
     EXPECT_TRUE(r.ok()) << r.Message();
     EXPECT_TRUE(stats.deadline_hit);

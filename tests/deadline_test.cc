@@ -12,11 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_solver.h"
-#include "core/budget.h"
-#include "core/budgeted_greedy_solver.h"
-#include "core/exact_flow_solver.h"
 #include "core/greedy_solver.h"
-#include "core/online_solvers.h"
 #include "core/solve_options.h"
 #include "core/solver.h"
 #include "core/validate.h"
@@ -212,17 +208,9 @@ TEST_P(BudgetedSolversTest, ZeroWorkBudgetStillFeasible) {
 
   SolveOptions options;
   options.budget.max_work = 0;
-  for (const auto& solver :
-       MakeStandardSolvers(seed, /*include_exact_flow=*/true)) {
-    ExpectFeasibleDegradedSolve(*solver, modular, options);
+  for (const SolverEntry& entry : SolverRegistry()) {
+    ExpectFeasibleDegradedSolve(*entry.make(seed, market), modular, options);
   }
-  ExpectFeasibleDegradedSolve(TaskArrivalGreedySolver(seed), modular,
-                              options);
-  ExpectFeasibleDegradedSolve(GreedySolver(GreedySolver::Mode::kPlain),
-                              modular, options);
-  const BudgetConstraint budget = ProportionalBudgets(market, 0.5);
-  ExpectFeasibleDegradedSolve(BudgetedGreedySolver(budget), modular,
-                              options);
 }
 
 TEST_P(BudgetedSolversTest, SmallWorkBudgetStillFeasible) {
@@ -236,9 +224,10 @@ TEST_P(BudgetedSolversTest, SmallWorkBudgetStillFeasible) {
 
   SolveOptions options;
   options.budget.max_work = 7 + static_cast<std::uint64_t>(GetParam());
-  for (const auto& solver :
-       MakeStandardSolvers(seed, /*include_exact_flow=*/false)) {
-    ExpectFeasibleDegradedSolve(*solver, submodular, options);
+  for (const SolverEntry& entry : SolverRegistry()) {
+    if (entry.modular_only) continue;
+    ExpectFeasibleDegradedSolve(*entry.make(seed, market), submodular,
+                                options);
   }
 }
 
@@ -255,11 +244,11 @@ TEST_P(BudgetedSolversTest, ExpiredWallClockStillFeasible) {
   SolveOptions options;
   options.budget.max_wall_ms = 1.0;
   options.budget.clock = &clock;
-  for (const auto& solver :
-       MakeStandardSolvers(seed, /*include_exact_flow=*/true)) {
-    SCOPED_TRACE("solver=" + solver->name());
+  for (const SolverEntry& entry : SolverRegistry()) {
+    SCOPED_TRACE("solver=" + std::string(entry.name));
     SolveStats stats;
-    const Assignment a = solver->Solve(modular, options, &stats);
+    const Assignment a =
+        entry.make(seed, market)->Solve(modular, options, &stats);
     const ValidationResult r = ValidateAssignment(modular, a);
     EXPECT_TRUE(r.ok()) << r.Message();
     EXPECT_TRUE(stats.deadline_hit);

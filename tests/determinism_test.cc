@@ -4,78 +4,38 @@
 /// of their config. These invariants make every number in EXPERIMENTS.md
 /// reproducible.
 
+#include <algorithm>
+#include <memory>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
-#include "core/baseline_solvers.h"
-#include "core/budgeted_greedy_solver.h"
-#include "core/exact_flow_solver.h"
 #include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/online_solvers.h"
 #include "core/solver.h"
-#include "core/stable_matching_solver.h"
-#include "core/threshold_solver.h"
 #include "gen/market_generator.h"
 
 namespace mbta {
 namespace {
 
-class SolverDeterminismTest : public ::testing::TestWithParam<const char*> {
-};
+class SolverDeterminismTest
+    : public ::testing::TestWithParam<std::string_view> {};
 
 TEST_P(SolverDeterminismTest, RepeatedSolvesAreIdentical) {
   const LaborMarket market = GenerateMarket(MTurkLikeConfig(200, 31));
-  const std::string which = GetParam();
-  const ObjectiveKind kind = which == "exact-flow"
-                                 ? ObjectiveKind::kModular
-                                 : ObjectiveKind::kSubmodular;
+  const SolverEntry& entry =
+      *std::ranges::find(SolverRegistry(), GetParam(), &SolverEntry::name);
+  const ObjectiveKind kind = entry.modular_only ? ObjectiveKind::kModular
+                                                : ObjectiveKind::kSubmodular;
   const MbtaProblem p{&market, {.alpha = 0.5, .kind = kind}};
-
-  std::unique_ptr<Solver> solver;
-  if (which == "greedy") solver = std::make_unique<GreedySolver>();
-  if (which == "threshold") solver = std::make_unique<ThresholdSolver>();
-  if (which == "local-search") {
-    solver = std::make_unique<LocalSearchSolver>();
-  }
-  if (which == "stable-da") {
-    solver = std::make_unique<StableMatchingSolver>();
-  }
-  if (which == "matching") solver = std::make_unique<MatchingSolver>();
-  if (which == "worker-centric") {
-    solver = std::make_unique<WorkerCentricSolver>();
-  }
-  if (which == "requester-centric") {
-    solver = std::make_unique<RequesterCentricSolver>();
-  }
-  if (which == "random") solver = std::make_unique<RandomSolver>(5);
-  if (which == "online-greedy") {
-    solver = std::make_unique<OnlineGreedySolver>(5);
-  }
-  if (which == "online-two-phase") {
-    solver = std::make_unique<TwoPhaseOnlineSolver>(5);
-  }
-  if (which == "online-task-greedy") {
-    solver = std::make_unique<TaskArrivalGreedySolver>(5);
-  }
-  if (which == "exact-flow") solver = std::make_unique<ExactFlowSolver>();
-  if (which == "budgeted-greedy") {
-    solver = std::make_unique<BudgetedGreedySolver>(
-        ProportionalBudgets(market, 0.5));
-  }
-  ASSERT_NE(solver, nullptr) << "unknown solver " << which;
+  const std::unique_ptr<Solver> solver = entry.make(5, market);
 
   const Assignment first = solver->Solve(p);
   const Assignment second = solver->Solve(p);
-  EXPECT_EQ(first.edges, second.edges) << which;
+  EXPECT_EQ(first.edges, second.edges) << entry.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSolvers, SolverDeterminismTest,
-    ::testing::Values("greedy", "threshold", "local-search", "stable-da",
-                      "matching", "worker-centric", "requester-centric",
-                      "random", "online-greedy", "online-two-phase",
-                      "online-task-greedy", "exact-flow",
-                      "budgeted-greedy"));
+INSTANTIATE_TEST_SUITE_P(AllSolvers, SolverDeterminismTest,
+                         ::testing::ValuesIn(SolverNames()));
 
 TEST(GeneratorDeterminismTest, AllPresetsBitStable) {
   for (int preset = 0; preset < 4; ++preset) {
@@ -101,13 +61,13 @@ TEST(GeneratorDeterminismTest, AllPresetsBitStable) {
   }
 }
 
-TEST(SolveInfoDeterminismTest, GainEvaluationCountsStable) {
+TEST(SolveStatsDeterminismTest, GainEvaluationCountsStable) {
   const LaborMarket market = GenerateMarket(UniformConfig(150, 150, 13));
   const MbtaProblem p{&market,
                       {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-  SolveInfo a, b;
-  GreedySolver().Solve(p, &a);
-  GreedySolver().Solve(p, &b);
+  SolveStats a, b;
+  GreedySolver().Solve(p, {}, &a);
+  GreedySolver().Solve(p, {}, &b);
   EXPECT_EQ(a.gain_evaluations, b.gain_evaluations);
 }
 

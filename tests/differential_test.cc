@@ -3,8 +3,8 @@
 /// core/validate.h and against the other solvers.
 ///
 /// Per generated instance the harness asserts:
-///  * every solver produces a ValidateAssignment-clean assignment whose
-///    reported objective matches the oracle's recomputation;
+///  * every registry solver produces a ValidateAssignment-clean assignment
+///    whose reported objective matches the oracle's recomputation;
 ///  * repeated solves are byte-identical (determinism under the harness,
 ///    not just inside one solver's own test);
 ///  * an explicit default SolveOptions (unlimited budget) is a perfect
@@ -38,8 +38,6 @@
 #include "core/exact_flow_solver.h"
 #include "core/greedy_solver.h"
 #include "core/local_search_solver.h"
-#include "core/online_solvers.h"
-#include "core/parallel_greedy_solver.h"
 #include "core/solver.h"
 #include "core/validate.h"
 #include "gen/market_generator.h"
@@ -108,8 +106,9 @@ Regime MakeRegime(int i) {
 }
 
 /// Validates `a` (with reported objective) and checks determinism by
-/// re-solving — once bare and once with a SolveStats sink attached, so
-/// the suite also proves instrumentation never perturbs the result.
+/// re-solving — once bare and once with default SolveOptions and a
+/// SolveStats sink attached, so the suite also proves instrumentation
+/// never perturbs the result.
 /// Returns the objective value for cross-solver comparisons.
 double CheckSolver(const Solver& solver, const MbtaProblem& problem,
                    const BudgetConstraint* budget = nullptr) {
@@ -125,19 +124,14 @@ double CheckSolver(const Solver& solver, const MbtaProblem& problem,
   const Assignment again = solver.Solve(problem);
   EXPECT_EQ(a.edges, again.edges) << "non-deterministic resolve";
 
-  SolveStats stats;
-  const Assignment instrumented = solver.Solve(problem, &stats);
-  EXPECT_EQ(a.edges, instrumented.edges)
-      << "instrumentation perturbed the assignment";
-
-  // Robustness invariant #1: threading an explicitly-unlimited
-  // SolveOptions through the new overload must not change a single byte
-  // of output relative to the legacy two-argument entry point.
+  // Robustness invariant #1: an explicitly-unlimited SolveOptions with a
+  // SolveStats sink attached must not change a single byte of output
+  // relative to the default arguments.
   SolveStats unlimited_stats;
   const Assignment with_options =
       solver.Solve(problem, SolveOptions{}, &unlimited_stats);
   EXPECT_EQ(a.edges, with_options.edges)
-      << "unlimited SolveOptions perturbed the assignment";
+      << "instrumented, unlimited SolveOptions perturbed the assignment";
   EXPECT_FALSE(unlimited_stats.deadline_hit);
   EXPECT_EQ(unlimited_stats.stop_reason, StopReason::kNone);
 
@@ -161,6 +155,29 @@ double CheckSolver(const Solver& solver, const MbtaProblem& problem,
   return r.recomputed_value;
 }
 
+/// Registry completeness: every registered solver passes the oracle on
+/// every instance — submodular objective, or the modular twin of the same
+/// market for modular-only entries — so no solver escapes validation.
+class RegistryDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RegistryDifferentialTest, EveryEntryPassesTheOracle) {
+  const Regime regime = MakeRegime(GetParam());
+  SCOPED_TRACE(regime.Describe());
+  const LaborMarket market = GenerateMarket(regime.config);
+  ASSERT_GT(market.NumEdges(), 0u) << "degenerate regime: no edges";
+  for (const SolverEntry& entry : SolverRegistry()) {
+    const ObjectiveKind kind = entry.modular_only
+                                   ? ObjectiveKind::kModular
+                                   : ObjectiveKind::kSubmodular;
+    CheckSolver(*entry.make(regime.config.seed, market),
+                {&market, {.alpha = regime.alpha, .kind = kind}});
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Instances, RegistryDifferentialTest,
+                         ::testing::Range(0, 100));
+
+/// Cross-solver orderings on the same grid.
 class DifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialTest, AllSolversValidDeterministicAndOrdered) {
@@ -173,21 +190,6 @@ TEST_P(DifferentialTest, AllSolversValidDeterministicAndOrdered) {
       &market, {.alpha = regime.alpha, .kind = ObjectiveKind::kSubmodular}};
   const MbtaProblem modular{
       &market, {.alpha = regime.alpha, .kind = ObjectiveKind::kModular}};
-
-  // The full line-up on the submodular objective (exact flow excluded:
-  // it rejects submodular instances by contract).
-  for (const auto& solver :
-       MakeStandardSolvers(regime.config.seed, /*include_exact_flow=*/false)) {
-    CheckSolver(*solver, submodular);
-  }
-  CheckSolver(OnlineGreedySolver(regime.config.seed), submodular);
-  CheckSolver(TaskArrivalGreedySolver(regime.config.seed), submodular);
-  CheckSolver(TwoPhaseOnlineSolver(regime.config.seed), submodular);
-  // The parallel family also honors every robustness invariant (the
-  // thread sweep itself lives in ParallelDeterminismTest below).
-  CheckSolver(ParallelGreedySolver(), submodular);
-  CheckSolver(ParallelGreedySolver(ParallelGreedySolver::Mode::kPlain),
-              submodular);
 
   // Exact flow and greedy on the modular twin of the same market.
   const double flow_value = CheckSolver(ExactFlowSolver(), modular);
@@ -232,25 +234,26 @@ TEST_P(ParallelDeterminismTest, ThreadSweepIsByteIdentical) {
        {ObjectiveKind::kSubmodular, ObjectiveKind::kModular}) {
     const MbtaProblem problem{&market, {.alpha = regime.alpha, .kind = kind}};
     SCOPED_TRACE(std::string("kind=") + ToString(kind));
-    for (const ParallelGreedySolver::Mode mode :
-         {ParallelGreedySolver::Mode::kLazy,
-          ParallelGreedySolver::Mode::kPlain}) {
-      const ParallelGreedySolver solver(mode);
-      SCOPED_TRACE("solver=" + solver.name());
+    std::vector<Assignment> serial_answers;
+    for (const SolverEntry& entry : SolverRegistry()) {
+      if (!entry.parallel) continue;
+      const std::unique_ptr<Solver> solver =
+          entry.make(regime.config.seed, market);
+      SCOPED_TRACE("solver=" + solver->name());
 
       // The serial twin: the same solver at threads = 1.
       SolveOptions serial_options;
       serial_options.threads = 1;
       SolveStats serial_stats;
       const Assignment serial =
-          solver.Solve(problem, serial_options, &serial_stats);
+          solver->Solve(problem, serial_options, &serial_stats);
 
       for (const int threads : {2, 4, 8}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         SolveOptions options;
         options.threads = threads;
         SolveStats stats;
-        const Assignment parallel = solver.Solve(problem, options, &stats);
+        const Assignment parallel = solver->Solve(problem, options, &stats);
         EXPECT_EQ(parallel.edges, serial.edges)
             << "thread count changed the assignment";
         // Full counter-map equality — keys and values. The thread count
@@ -263,25 +266,17 @@ TEST_P(ParallelDeterminismTest, ThreadSweepIsByteIdentical) {
                   static_cast<double>(threads));
       }
 
-      // The plain variant replicates GreedySolver::kPlain decision-for-
-      // decision, so its assignment must also match the serial scan
-      // solver (the lazy variant computes the same exact greedy sequence
-      // and is pinned to the plain variant below).
-      if (mode == ParallelGreedySolver::Mode::kPlain) {
-        const Assignment plain_serial =
-            GreedySolver(GreedySolver::Mode::kPlain).Solve(problem);
-        EXPECT_EQ(serial.edges, plain_serial.edges)
-            << "parallel-plain diverged from the serial plain solver";
-      }
+      serial_answers.push_back(serial);
     }
 
-    // Lazy and plain parallel variants both compute exact greedy with the
-    // lowest-edge-id tie-break, so they agree with each other.
-    const Assignment lazy = ParallelGreedySolver().Solve(problem);
-    const Assignment plain =
-        ParallelGreedySolver(ParallelGreedySolver::Mode::kPlain).Solve(problem);
-    EXPECT_EQ(lazy.edges, plain.edges)
-        << "lazy refresh diverged from the exact scan";
+    // Every parallel variant computes exact greedy with the lowest-edge-id
+    // tie-break, so all of them agree with the serial plain scan solver.
+    const Assignment plain_serial =
+        MakeSolver("greedy-plain", 0, market)->Solve(problem);
+    for (const Assignment& serial : serial_answers) {
+      EXPECT_EQ(serial.edges, plain_serial.edges)
+          << "a parallel variant diverged from the serial plain solver";
+    }
   }
 }
 
@@ -315,10 +310,11 @@ TEST_P(TinyOracleTest, HeuristicsBoundedByBruteForce) {
   const double greedy = CheckSolver(GreedySolver(), submodular);
   EXPECT_LE(greedy, opt + kEps);
   EXPECT_GE(greedy, opt / 3.0 - kEps);
-  for (const auto& solver : MakeStandardSolvers(static_cast<std::uint64_t>(i),
-                                                /*include_exact_flow=*/false)) {
-    const double value = CheckSolver(*solver, submodular);
-    EXPECT_LE(value, opt + kEps) << solver->name() << " beat brute force";
+  for (const SolverEntry& entry : SolverRegistry()) {
+    if (entry.modular_only) continue;
+    const double value = CheckSolver(
+        *entry.make(static_cast<std::uint64_t>(i), market), submodular);
+    EXPECT_LE(value, opt + kEps) << entry.name << " beat brute force";
   }
 
   // Modular: exact flow is optimal, so it matches brute force to within

@@ -79,9 +79,9 @@ TEST_P(GreedyPropertyTest, LazyUsesFewerEvaluationsThanPlain) {
   if (m.NumEdges() < 10) GTEST_SKIP() << "market too sparse";
   const MbtaProblem p{&m,
                       {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-  SolveInfo lazy_info, plain_info;
-  GreedySolver(GreedySolver::Mode::kLazy).Solve(p, &lazy_info);
-  GreedySolver(GreedySolver::Mode::kPlain).Solve(p, &plain_info);
+  SolveStats lazy_info, plain_info;
+  GreedySolver(GreedySolver::Mode::kLazy).Solve(p, {}, &lazy_info);
+  GreedySolver(GreedySolver::Mode::kPlain).Solve(p, {}, &plain_info);
   EXPECT_LE(lazy_info.gain_evaluations, plain_info.gain_evaluations);
 }
 
@@ -120,8 +120,8 @@ TEST(GreedySolverTest, InfoPopulated) {
   Rng rng(55);
   const LaborMarket m = RandomTestMarket(rng, 8, 8, 0.5);
   const MbtaProblem p{&m, {}};
-  SolveInfo info;
-  GreedySolver().Solve(p, &info);
+  SolveStats info;
+  GreedySolver().Solve(p, {}, &info);
   EXPECT_GE(info.wall_ms, 0.0);
   if (m.NumEdges() > 0) {
     EXPECT_GT(info.gain_evaluations, 0u);

@@ -10,7 +10,6 @@
 #include "core/local_search_solver.h"
 #include "core/online_solvers.h"
 #include "core/solver.h"
-#include "core/threshold_solver.h"
 #include "gen/market_generator.h"
 #include "market/metrics.h"
 #include "sim/aggregation.h"
@@ -35,10 +34,10 @@ TEST_P(DatasetTest, AllStandardSolversProduceFeasibleAssignments) {
   const LaborMarket m = MakeMarket();
   const MbtaProblem p{&m,
                       {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-  for (const auto& solver :
-       MakeStandardSolvers(1, /*include_exact_flow=*/false)) {
-    const Assignment a = solver->Solve(p);
-    EXPECT_TRUE(IsFeasible(m, a)) << solver->name();
+  for (const SolverEntry& entry : SolverRegistry()) {
+    if (entry.modular_only) continue;
+    const Assignment a = entry.make(1, m)->Solve(p);
+    EXPECT_TRUE(IsFeasible(m, a)) << entry.name;
   }
 }
 
@@ -100,9 +99,10 @@ TEST(IntegrationTest, ExactFlowDominatesEveryHeuristicOnModular) {
   const MbtaProblem p{&m, {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
   const MutualBenefitObjective obj = p.MakeObjective();
   const double exact = obj.Value(ExactFlowSolver().Solve(p));
-  for (const auto& solver :
-       MakeStandardSolvers(1, /*include_exact_flow=*/false)) {
-    EXPECT_GE(exact + 1e-3, obj.Value(solver->Solve(p))) << solver->name();
+  for (const SolverEntry& entry : SolverRegistry()) {
+    if (entry.modular_only) continue;
+    EXPECT_GE(exact + 1e-3, obj.Value(entry.make(1, m)->Solve(p)))
+        << entry.name;
   }
   // And greedy comes close (well above its 1/2 modular matroid bound).
   EXPECT_GE(obj.Value(GreedySolver().Solve(p)), 0.9 * exact);
@@ -168,12 +168,27 @@ TEST(IntegrationTest, FairnessImprovesWithWorkerWeight) {
 }
 
 TEST(IntegrationTest, StandardSolverLineupHasUniqueNames) {
-  const auto solvers = MakeStandardSolvers(1, true);
-  std::set<std::string> names;
-  for (const auto& s : solvers) names.insert(s->name());
-  EXPECT_EQ(names.size(), solvers.size());
+  const std::set<std::string_view> names(SolverNames().begin(),
+                                         SolverNames().end());
+  EXPECT_EQ(names.size(), SolverRegistry().size());
   EXPECT_TRUE(names.count("exact-flow"));
   EXPECT_TRUE(names.count("greedy"));
+}
+
+TEST(SolverRegistryTest, EveryNameConstructsTheSolverOfThatName) {
+  const LaborMarket m = GenerateMarket(UniformConfig(20, 20, 3));
+  for (const std::string_view name : SolverNames()) {
+    const std::unique_ptr<Solver> solver = MakeSolver(name, 1, m);
+    ASSERT_NE(solver, nullptr) << name;
+    EXPECT_EQ(solver->name(), name);
+  }
+}
+
+TEST(SolverRegistryTest, UnknownNameReturnsNull) {
+  const LaborMarket m = GenerateMarket(UniformConfig(20, 20, 3));
+  EXPECT_EQ(MakeSolver("no-such-solver", 1, m), nullptr);
+  EXPECT_EQ(MakeSolver("", 1, m), nullptr);
+  EXPECT_EQ(MakeSolver("Greedy", 1, m), nullptr);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-/// SolveInfo accounting across the greedy family: every solver that
-/// evaluates marginal gains must report doing so, and the lazy heap must
+/// SolveStats accounting: every registry solver must report its dominant
+/// work counter, named counters and phases, and the lazy heap must
 /// demonstrably save work over the plain rescans — the claim the
 /// lazy-greedy ablation (fig11) rests on.
 
@@ -13,7 +13,6 @@
 #include "core/exact_flow_solver.h"
 #include "core/greedy_solver.h"
 #include "core/local_search_solver.h"
-#include "core/online_solvers.h"
 #include "core/solver.h"
 #include "core/threshold_solver.h"
 #include "gen/market_generator.h"
@@ -30,24 +29,24 @@ TEST(SolveInfoTest, GreedyFamilyReportsGainEvaluations) {
   ASSERT_GT(m.NumEdges(), 0u);
   const MbtaProblem p = SubmodularProblem(m);
 
-  SolveInfo info;
-  GreedySolver(GreedySolver::Mode::kLazy).Solve(p, &info);
+  SolveStats info;
+  GreedySolver(GreedySolver::Mode::kLazy).Solve(p, {}, &info);
   EXPECT_GT(info.gain_evaluations, 0u) << "lazy greedy";
 
   info = {};
-  GreedySolver(GreedySolver::Mode::kPlain).Solve(p, &info);
+  GreedySolver(GreedySolver::Mode::kPlain).Solve(p, {}, &info);
   EXPECT_GT(info.gain_evaluations, 0u) << "plain greedy";
 
   info = {};
-  ThresholdSolver().Solve(p, &info);
+  ThresholdSolver().Solve(p, {}, &info);
   EXPECT_GT(info.gain_evaluations, 0u) << "threshold";
 
   info = {};
-  LocalSearchSolver().Solve(p, &info);
+  LocalSearchSolver().Solve(p, {}, &info);
   EXPECT_GT(info.gain_evaluations, 0u) << "local search";
 
   info = {};
-  BudgetedGreedySolver(ProportionalBudgets(m, 0.5)).Solve(p, &info);
+  BudgetedGreedySolver(ProportionalBudgets(m, 0.5)).Solve(p, {}, &info);
   EXPECT_GT(info.gain_evaluations, 0u) << "budgeted greedy";
 }
 
@@ -61,9 +60,9 @@ TEST(SolveInfoTest, LazyGreedyStrictlyCheaperThanPlain) {
     const LaborMarket m = GenerateMarket(MTurkLikeConfig(120, seed));
     ASSERT_GT(m.NumEdges(), 100u);
     const MbtaProblem p = SubmodularProblem(m);
-    SolveInfo lazy, plain;
-    GreedySolver(GreedySolver::Mode::kLazy).Solve(p, &lazy);
-    GreedySolver(GreedySolver::Mode::kPlain).Solve(p, &plain);
+    SolveStats lazy, plain;
+    GreedySolver(GreedySolver::Mode::kLazy).Solve(p, {}, &lazy);
+    GreedySolver(GreedySolver::Mode::kPlain).Solve(p, {}, &plain);
     EXPECT_LT(lazy.gain_evaluations, plain.gain_evaluations)
         << "seed " << seed;
     EXPECT_GT(lazy.gain_evaluations, 0u);
@@ -76,8 +75,8 @@ TEST(SolveInfoTest, LazyGreedyStrictlyCheaperThanPlain) {
 /// phase timing.
 void ExpectInstrumented(const Solver& solver, const MbtaProblem& problem) {
   SCOPED_TRACE("solver=" + solver.name());
-  SolveInfo info;
-  solver.Solve(problem, &info);
+  SolveStats info;
+  solver.Solve(problem, {}, &info);
   EXPECT_GT(info.gain_evaluations, 0u) << "dominant work counter unset";
   EXPECT_FALSE(info.counters.counters().empty()) << "no named counters";
   EXPECT_FALSE(info.phases.entries().empty()) << "no phase timings";
@@ -88,21 +87,14 @@ TEST(SolveInfoTest, EveryStandardSolverPublishesCountersAndPhases) {
   ASSERT_GT(m.NumEdges(), 0u);
   const MbtaProblem sub = SubmodularProblem(m);
 
-  for (const auto& solver :
-       MakeStandardSolvers(/*seed=*/11, /*include_exact_flow=*/false)) {
-    ExpectInstrumented(*solver, sub);
-  }
-  ExpectInstrumented(GreedySolver(GreedySolver::Mode::kPlain), sub);
-  ExpectInstrumented(OnlineGreedySolver(11), sub);
-  ExpectInstrumented(TaskArrivalGreedySolver(11), sub);
-  ExpectInstrumented(TwoPhaseOnlineSolver(11), sub);
-  ExpectInstrumented(BudgetedGreedySolver(ProportionalBudgets(m, 0.5)), sub);
-
-  // Exact flow requires the modular objective; brute force a tiny market.
+  // Exact flow requires the modular objective.
   const MbtaProblem modular{&m,
                             {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
-  ExpectInstrumented(ExactFlowSolver(), modular);
+  for (const SolverEntry& entry : SolverRegistry()) {
+    ExpectInstrumented(*entry.make(11, m), entry.modular_only ? modular : sub);
+  }
 
+  // Brute force (outside the registry) on a tiny market.
   const LaborMarket tiny = GenerateMarket(UniformConfig(4, 4, 11));
   if (tiny.NumEdges() > 0 && tiny.NumEdges() <= 16) {
     ExpectInstrumented(BruteForceSolver(), SubmodularProblem(tiny));
@@ -117,8 +109,8 @@ TEST(SolveInfoTest, FlowBackedSolversReportFlowCounters) {
   ASSERT_GT(m.NumEdges(), 0u);
   const MbtaProblem modular{&m,
                             {.alpha = 0.5, .kind = ObjectiveKind::kModular}};
-  SolveInfo info;
-  ExactFlowSolver().Solve(modular, &info);
+  SolveStats info;
+  ExactFlowSolver().Solve(modular, {}, &info);
   EXPECT_GT(info.gain_evaluations, 0u);
   EXPECT_GT(info.counters.Value("flow/augmenting_paths"), 0u);
   EXPECT_GT(info.counters.Value("flow/arcs_scanned"), 0u);
@@ -127,9 +119,9 @@ TEST(SolveInfoTest, FlowBackedSolversReportFlowCounters) {
 TEST(SolveInfoTest, WallTimeIsPopulated) {
   const LaborMarket m = GenerateMarket(UniformConfig(60, 60, 5));
   const MbtaProblem p = SubmodularProblem(m);
-  SolveInfo info;
+  SolveStats info;
   info.wall_ms = -1.0;
-  GreedySolver().Solve(p, &info);
+  GreedySolver().Solve(p, {}, &info);
   EXPECT_GE(info.wall_ms, 0.0);
 }
 

@@ -9,33 +9,28 @@
 ///   mbta_cli evaluate --market m.market --assignment a.assignment
 ///   mbta_cli compare  --market m.market --alpha 0.5
 ///
-/// Solvers: greedy, parallel-greedy, threshold, local-search, stable-da,
-/// matching, worker-centric, requester-centric, random, online-greedy,
-/// online-two-phase, exact-flow (modular objective only). The
-/// parallel-greedy family honors --threads (results are byte-identical
-/// at any thread count; threads buy wall time only).
+/// `--solver` takes any name of the solver registry (core/solver.h);
+/// `mbta_cli` without arguments lists them. The parallel-greedy family
+/// honors --threads (results are byte-identical at any thread count;
+/// threads buy wall time only).
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <ranges>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/baseline_solvers.h"
-#include "core/exact_flow_solver.h"
 #include "core/fallback_solver.h"
-#include "core/greedy_solver.h"
-#include "core/local_search_solver.h"
-#include "core/online_solvers.h"
-#include "core/parallel_greedy_solver.h"
 #include "core/solver.h"
-#include "core/stable_matching_solver.h"
-#include "core/threshold_solver.h"
 #include "gen/market_generator.h"
 #include "io/market_io.h"
 #include "market/metrics.h"
@@ -62,6 +57,29 @@ constexpr int kExitBadInput = 2;
 constexpr int kExitDegraded = 3;
 constexpr int kExitInternal = 4;
 
+/// Ceiling on --threads: each thread is an OS thread, and the answer is
+/// byte-identical at any count, so a higher value buys nothing.
+constexpr std::uint64_t kMaxThreads = 64;
+
+/// A malformed flag value; main() reports it and exits kExitUsage.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses all of `text` as a T, or throws UsageError naming `key`.
+template <typename T>
+T ParseFlag(const std::string& key, const std::string& text,
+            const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw UsageError("--" + key + " expects " + what + ", got '" + text +
+                     "'");
+  }
+  return value;
+}
+
 struct Args {
   std::map<std::string, std::string> flags;
 
@@ -71,15 +89,19 @@ struct Args {
   }
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    if (it == flags.end()) return fallback;
+    const double value = ParseFlag<double>(key, it->second, "a number");
+    if (!std::isfinite(value)) {
+      throw UsageError("--" + key + " expects a finite number");
+    }
+    return value;
   }
   std::uint64_t GetUint(const std::string& key,
                         std::uint64_t fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end()
-               ? fallback
-               : static_cast<std::uint64_t>(
-                     std::strtoull(it->second.c_str(), nullptr, 10));
+    return it == flags.end() ? fallback
+                             : ParseFlag<std::uint64_t>(
+                                   key, it->second, "a non-negative integer");
   }
   bool GetBool(const std::string& key) const {
     return flags.find(key) != flags.end();
@@ -98,7 +120,7 @@ struct Args {
 
 /// Dumps a solve's instrumentation: counters, gauges, and the phase
 /// timing tree (paths are slash-nested, so indentation follows depth).
-void PrintSolveStats(const SolveInfo& info) {
+void PrintSolveStats(const SolveStats& info) {
   if (!info.counters.empty()) {
     Table counters({"counter", "value"});
     for (const auto& [key, value] : info.counters.counters()) {
@@ -121,6 +143,11 @@ void PrintSolveStats(const SolveInfo& info) {
 }
 
 int Usage() {
+  std::string solvers;
+  for (const std::string_view name : SolverNames()) {
+    solvers += solvers.empty() ? "" : ", ";
+    solvers += name;
+  }
   std::fprintf(
       stderr,
       "usage: mbta_cli <generate|stats|solve|evaluate|compare|serve|replay>"
@@ -140,61 +167,37 @@ int Usage() {
       "           [--degrade-after-ms MS] [--alpha 0.5] [--out FILE]\n"
       "           [--trace FILE] [--stats]\n"
       "  replay   --wal FILE [--dump-state] [--stats]\n"
+      "--solver is one of: %s\n"
+      "(exact-flow requires --objective modular)\n"
       "--stats prints the solver's work counters and phase timings\n"
       "--work-budget/--deadline-ms bound the solve; --fallback runs the\n"
       "standard degradation chain (exact flow -> greedy -> worker-centric)\n"
-      "--threads N runs the parallel solvers on N threads (same answer,\n"
-      "less wall time)\n"
+      "--threads N (1-%d) runs the parallel solvers on N threads (same\n"
+      "answer, less wall time)\n"
       "--trace FILE records the solve as a Chrome trace-event JSON file\n"
       "(open in Perfetto or chrome://tracing, analyze with mbta_trace)\n"
       "serve drives a resident MarketService from a delta script (one\n"
       "delta per line, literal `epoch` lines run an epoch); with --wal\n"
       "the service is durable and `replay` recovers it from disk\n"
       "exit codes: 0 ok, 1 usage, 2 bad input, 3 degraded solve, "
-      "4 internal\n");
+      "4 internal\n",
+      solvers.c_str(), static_cast<int>(kMaxThreads));
   return kExitUsage;
-}
-
-std::unique_ptr<Solver> MakeSolver(const std::string& name,
-                                   std::uint64_t seed) {
-  if (name == "greedy") return std::make_unique<GreedySolver>();
-  if (name == "greedy-plain") {
-    return std::make_unique<GreedySolver>(GreedySolver::Mode::kPlain);
-  }
-  if (name == "parallel-greedy") {
-    return std::make_unique<ParallelGreedySolver>();
-  }
-  if (name == "parallel-greedy-plain") {
-    return std::make_unique<ParallelGreedySolver>(
-        ParallelGreedySolver::Mode::kPlain);
-  }
-  if (name == "threshold") return std::make_unique<ThresholdSolver>();
-  if (name == "local-search") return std::make_unique<LocalSearchSolver>();
-  if (name == "stable-da") return std::make_unique<StableMatchingSolver>();
-  if (name == "matching") return std::make_unique<MatchingSolver>();
-  if (name == "worker-centric") {
-    return std::make_unique<WorkerCentricSolver>();
-  }
-  if (name == "requester-centric") {
-    return std::make_unique<RequesterCentricSolver>();
-  }
-  if (name == "random") return std::make_unique<RandomSolver>(seed);
-  if (name == "online-greedy") {
-    return std::make_unique<OnlineGreedySolver>(seed);
-  }
-  if (name == "online-two-phase") {
-    return std::make_unique<TwoPhaseOnlineSolver>(seed);
-  }
-  if (name == "exact-flow") return std::make_unique<ExactFlowSolver>();
-  return nullptr;
 }
 
 ObjectiveParams MakeObjectiveParams(const Args& args) {
   ObjectiveParams params;
   params.alpha = args.GetDouble("alpha", 0.5);
-  params.kind = args.Get("objective", "submodular") == "modular"
-                    ? ObjectiveKind::kModular
-                    : ObjectiveKind::kSubmodular;
+  if (params.alpha < 0.0 || params.alpha > 1.0) {
+    throw UsageError("--alpha must lie in [0, 1]");
+  }
+  const std::string kind = args.Get("objective", "submodular");
+  if (kind != "submodular" && kind != "modular") {
+    throw UsageError("--objective must be submodular or modular, got '" +
+                     kind + "'");
+  }
+  params.kind = kind == "modular" ? ObjectiveKind::kModular
+                                  : ObjectiveKind::kSubmodular;
   return params;
 }
 
@@ -262,36 +265,46 @@ int Solve(const Args& args) {
   if (!args.Require("market", &market_path) || !args.Require("out", &out)) {
     return kExitUsage;
   }
+  const ObjectiveParams objective = MakeObjectiveParams(args);
+  SolveOptions solve_options;
+  solve_options.budget.max_work =
+      args.GetUint("work-budget", DeadlineBudget::kUnlimitedWork);
+  solve_options.budget.max_wall_ms = args.GetDouble("deadline-ms", 0.0);
+  const std::uint64_t threads = args.GetUint("threads", 1);
+  if (threads < 1 || threads > kMaxThreads) {
+    throw UsageError("--threads must lie in [1, " +
+                     std::to_string(kMaxThreads) + "]");
+  }
+  solve_options.threads = static_cast<int>(threads);
+  const bool fallback = args.GetBool("fallback");
+  // The fallback chain opens with exact flow, so it shares its contract.
+  const std::string solver_name =
+      fallback ? "exact-flow" : args.Get("solver", "greedy");
+  const std::span<const SolverEntry> registry = SolverRegistry();
+  const auto entry =
+      std::ranges::find(registry, solver_name, &SolverEntry::name);
+  if (entry == registry.end()) {
+    throw UsageError("unknown solver '" + solver_name + "'");
+  }
+  if (entry->modular_only && objective.kind != ObjectiveKind::kModular) {
+    throw UsageError(std::string(fallback ? "--fallback" : solver_name) +
+                     " requires --objective modular");
+  }
+  const std::uint64_t seed = args.GetUint("seed", 1);
+
   std::string error;
   const auto market = ReadMarketFromFile(market_path, &error);
   if (!market) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return kExitBadInput;
   }
-
-  SolveOptions solve_options;
-  solve_options.budget.max_work =
-      args.GetUint("work-budget", DeadlineBudget::kUnlimitedWork);
-  solve_options.budget.max_wall_ms = args.GetDouble("deadline-ms", 0.0);
-  solve_options.threads =
-      static_cast<int>(args.GetUint("threads", 1));
-
-  std::unique_ptr<Solver> solver;
-  if (args.GetBool("fallback")) {
-    // The degradation chain gives each optimizing stage the caller's
-    // budget and lets the unbudgeted floor guarantee a complete answer.
-    solver = MakeStandardFallbackChain(solve_options.budget);
-  } else {
-    const std::string solver_name = args.Get("solver", "greedy");
-    solver = MakeSolver(solver_name, args.GetUint("seed", 1));
-    if (!solver) {
-      std::fprintf(stderr, "error: unknown solver '%s'\n",
-                   solver_name.c_str());
-      return kExitUsage;
-    }
-  }
-  const MbtaProblem problem{&*market, MakeObjectiveParams(args)};
-  SolveInfo info;
+  // The degradation chain gives each optimizing stage the caller's
+  // budget and lets the unbudgeted floor guarantee a complete answer.
+  const std::unique_ptr<Solver> solver =
+      fallback ? MakeStandardFallbackChain(solve_options.budget)
+               : entry->make(seed, *market);
+  const MbtaProblem problem{&*market, objective};
+  SolveStats info;
   const std::string trace_path = args.Get("trace", "");
   std::unique_ptr<Tracer> tracer;
   if (!trace_path.empty()) {
@@ -347,6 +360,7 @@ int EvaluateCmd(const Args& args) {
       !args.Require("assignment", &assignment_path)) {
     return kExitUsage;
   }
+  const ObjectiveParams params = MakeObjectiveParams(args);
   std::string error;
   const auto market = ReadMarketFromFile(market_path, &error);
   if (!market) {
@@ -359,8 +373,7 @@ int EvaluateCmd(const Args& args) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return kExitBadInput;
   }
-  const MutualBenefitObjective objective(&*market,
-                                         MakeObjectiveParams(args));
+  const MutualBenefitObjective objective(&*market, params);
   const AssignmentMetrics metrics = Evaluate(objective, *assignment);
   std::printf("mutual benefit     %.4f (alpha=%.2f, %s)\n",
               metrics.mutual_benefit, objective.alpha(),
@@ -381,22 +394,25 @@ int EvaluateCmd(const Args& args) {
 int Compare(const Args& args) {
   std::string market_path;
   if (!args.Require("market", &market_path)) return kExitUsage;
+  const ObjectiveParams objective = MakeObjectiveParams(args);
+  const std::uint64_t seed = args.GetUint("seed", 1);
   std::string error;
   const auto market = ReadMarketFromFile(market_path, &error);
   if (!market) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return kExitBadInput;
   }
-  const MbtaProblem problem{&*market, MakeObjectiveParams(args)};
+  const MbtaProblem problem{&*market, objective};
   const bool show_stats = args.GetBool("stats");
   Table table({"solver", "MB", "RB", "WB", "pairs", "time(ms)"});
-  std::vector<std::pair<std::string, SolveInfo>> all_stats;
-  for (const auto& solver :
-       MakeStandardSolvers(args.GetUint("seed", 1),
-                           problem.objective.kind ==
-                               ObjectiveKind::kModular)) {
-    SolveInfo info;
-    const Assignment a = solver->Solve(problem, &info);
+  std::vector<std::pair<std::string, SolveStats>> all_stats;
+  for (const SolverEntry& entry : SolverRegistry()) {
+    if (entry.modular_only && objective.kind != ObjectiveKind::kModular) {
+      continue;
+    }
+    const std::unique_ptr<Solver> solver = entry.make(seed, *market);
+    SolveStats info;
+    const Assignment a = solver->Solve(problem, {}, &info);
     const AssignmentMetrics m = Evaluate(problem.MakeObjective(), a);
     table.AddRow({solver->name(), Table::Num(m.mutual_benefit),
                   Table::Num(m.requester_benefit),
@@ -442,6 +458,7 @@ void PrintServiceSummary(const MarketService& service) {
 int Serve(const Args& args) {
   std::string script_path;
   if (!args.Require("script", &script_path)) return kExitUsage;
+  const ServiceConfig config = MakeServiceConfig(args);
   std::ifstream script_in(script_path);
   if (!script_in) {
     std::fprintf(stderr, "error: cannot open script %s\n",
@@ -455,7 +472,7 @@ int Serve(const Args& args) {
     return kExitBadInput;
   }
 
-  MarketService service(MakeServiceConfig(args));
+  MarketService service(config);
   const std::string trace_path = args.Get("trace", "");
   std::unique_ptr<Tracer> tracer;
   if (!trace_path.empty()) {
@@ -507,7 +524,7 @@ int Serve(const Args& args) {
     // offline tools (stats/solve/compare) can pick up where serving
     // stopped.
     const LaborMarket market =
-        BuildMarket(service.state(), MakeServiceConfig(args).edge_model);
+        BuildMarket(service.state(), config.edge_model);
     if (!WriteMarketToFile(market, out, &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return kExitInternal;
@@ -592,6 +609,9 @@ int Main(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return mbta::cli::Main(argc, argv);
+  } catch (const mbta::cli::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return mbta::cli::kExitUsage;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "internal error: %s\n", e.what());
     return mbta::cli::kExitInternal;
