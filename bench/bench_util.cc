@@ -1,6 +1,5 @@
 #include "bench/bench_util.h"
 
-#include <cstdlib>
 #include <ctime>
 #include <string>
 #include <thread>
@@ -32,10 +31,7 @@ std::vector<std::unique_ptr<Solver>> SweepSolvers(std::uint64_t seed,
     // Cost: at fig3's 4000-worker point greedy-plain takes 142 s and
     // matching 37 s against 0.16 s for greedy (4-vCPU Xeon VM); the
     // plain scans return greedy's answer anyway.
-    if (entry.name == "matching" || entry.name == "greedy-plain" ||
-        entry.name == "parallel-greedy-plain") {
-      continue;
-    }
+    if (entry.name == "matching" || entry.name == "greedy-plain") continue;
     solvers.push_back(MakeBenchSolver(entry.name, seed, market));
   }
   return solvers;
@@ -52,13 +48,6 @@ std::string ConsumeFlagValue(int* argc, char** argv,
     }
   }
   return "";
-}
-
-int ConsumeThreadsFlag(int* argc, char** argv) {
-  const std::string value = ConsumeFlagValue(argc, argv, "--threads");
-  if (value.empty()) return 0;
-  const int threads = std::atoi(value.c_str());
-  return threads > 0 ? threads : 0;
 }
 
 namespace {

@@ -16,15 +16,9 @@
 #include "bench/bench_util.h"
 #include "core/greedy_solver.h"
 #include "core/online_solvers.h"
-#include "core/parallel_greedy_solver.h"
 
 int main(int argc, char** argv) {
   using namespace mbta;
-  // `--threads N` computes the offline reference with the parallel greedy
-  // solver (same assignment by the determinism contract, so every ratio
-  // is unchanged) and keys each row with a "threads" param. Without the
-  // flag, rows are byte-identical to older records.
-  const int threads = bench::ConsumeThreadsFlag(&argc, argv);
   bench::PrintBanner(
       "Figure 10: online competitive ratio vs sample fraction",
       "x = two-phase sample fraction, y = MB(online) / MB(offline "
@@ -40,22 +34,7 @@ int main(int argc, char** argv) {
   const MbtaProblem p{&market,
                       {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
   const MutualBenefitObjective obj = p.MakeObjective();
-  double offline;
-  if (threads > 0) {
-    SolveOptions options;
-    options.threads = threads;
-    offline = obj.Value(
-        ParallelGreedySolver(ParallelGreedySolver::Mode::kLazy)
-            .Solve(p, options));
-  } else {
-    offline = obj.Value(GreedySolver().Solve(p));
-  }
-  const auto row_params = [threads](bench::JsonLog::Params params) {
-    if (threads > 0) {
-      params.emplace_back("threads", std::to_string(threads));
-    }
-    return params;
-  };
+  const double offline = obj.Value(GreedySolver().Solve(p));
 
   constexpr int kOrders = 5;
   Table table({"sample fraction", "algorithm", "MB", "ratio vs offline"});
@@ -67,8 +46,7 @@ int main(int argc, char** argv) {
   }
   table.AddRow({"0.0", "online-greedy", Table::Num(online_sum / kOrders),
                 Table::Num(online_sum / kOrders / offline)});
-  json.AddRow(row_params({{"sample_fraction", "0.0"},
-                          {"algorithm", "online-greedy"}}),
+  json.AddRow({{"sample_fraction", "0.0"}, {"algorithm", "online-greedy"}},
               {{"mutual_benefit", online_sum / kOrders},
                {"ratio_vs_offline", online_sum / kOrders / offline}});
 
@@ -81,11 +59,9 @@ int main(int argc, char** argv) {
   }
   table.AddRow({"0.0", "online-task-greedy", Table::Num(task_sum / kOrders),
                 Table::Num(task_sum / kOrders / offline)});
-  json.AddRow(
-      row_params({{"sample_fraction", "0.0"},
-                  {"algorithm", "online-task-greedy"}}),
-      {{"mutual_benefit", task_sum / kOrders},
-       {"ratio_vs_offline", task_sum / kOrders / offline}});
+  json.AddRow({{"sample_fraction", "0.0"}, {"algorithm", "online-task-greedy"}},
+              {{"mutual_benefit", task_sum / kOrders},
+               {"ratio_vs_offline", task_sum / kOrders / offline}});
 
   for (double fraction : {0.05, 0.1, 0.2, 0.3, 0.4, 0.5}) {
     TwoPhaseOnlineSolver::Options opts;
@@ -99,8 +75,8 @@ int main(int argc, char** argv) {
     table.AddRow({Table::Num(fraction), "online-two-phase",
                   Table::Num(sum / kOrders),
                   Table::Num(sum / kOrders / offline)});
-    json.AddRow(row_params({{"sample_fraction", Table::Num(fraction)},
-                            {"algorithm", "online-two-phase"}}),
+    json.AddRow({{"sample_fraction", Table::Num(fraction)},
+                 {"algorithm", "online-two-phase"}},
                 {{"mutual_benefit", sum / kOrders},
                  {"ratio_vs_offline", sum / kOrders / offline}});
   }

@@ -2,19 +2,12 @@
 /// lazy greedy and threshold greedy scale near-linearly in |E|; plain
 /// greedy's rescans make it quadratic-ish; the exact flow solver pays an
 /// augmentation per assignment and falls behind as the market grows.
-///
-/// `--threads N` (ours, stripped before google-benchmark sees argv) adds
-/// the parallel greedy solvers at that thread count, both as registered
-/// benchmarks and as JSON rows keyed by a "threads" param. Without the
-/// flag the benchmark set and row keys are byte-identical to older
-/// records, so committed baselines stay comparable.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "core/exact_flow_solver.h"
 #include "core/greedy_solver.h"
-#include "core/parallel_greedy_solver.h"
 #include "core/threshold_solver.h"
 #include "gen/market_generator.h"
 
@@ -78,35 +71,6 @@ void BM_ExactFlowModular(benchmark::State& state) {
 BENCHMARK(BM_ExactFlowModular)->Arg(250)->Arg(500)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-/// Registered from main (not via the BENCHMARK macro) because the thread
-/// count comes from the command line.
-void RegisterParallelBenchmarks(int threads) {
-  for (const auto mode : {ParallelGreedySolver::Mode::kLazy,
-                          ParallelGreedySolver::Mode::kPlain}) {
-    const char* name = mode == ParallelGreedySolver::Mode::kLazy
-                           ? "BM_ParallelLazyGreedy"
-                           : "BM_ParallelPlainGreedy";
-    auto* bm = benchmark::RegisterBenchmark(
-        name, [mode, threads](benchmark::State& state) {
-          const LaborMarket market = MakeMarket(state.range(0));
-          const MbtaProblem p{
-              &market, {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-          const ParallelGreedySolver solver(mode);
-          SolveOptions options;
-          options.threads = threads;
-          for (auto _ : state) {
-            benchmark::DoNotOptimize(solver.Solve(p, options));
-          }
-          state.counters["edges"] = static_cast<double>(market.NumEdges());
-          state.counters["threads"] = static_cast<double>(threads);
-        });
-    bm->Arg(250)->Arg(500)->Unit(benchmark::kMillisecond);
-    if (mode == ParallelGreedySolver::Mode::kLazy) {
-      bm->Arg(1000)->Arg(2000);
-    }
-  }
-}
-
 void BM_MarketGeneration(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(MakeMarket(state.range(0)));
@@ -124,11 +88,8 @@ int main(int argc, char** argv) {
       "google-benchmark timings: lazy/plain/threshold greedy, exact flow "
       "and market generation across market sizes (arg = workers)",
       "mturk-like markets, alpha=0.5, seed 42");
-  // `--json` and `--threads` are ours, not google-benchmark's: strip
-  // them before Initialize.
+  // `--json` is ours, not google-benchmark's: strip it before Initialize.
   const std::string json_path = mbta::bench::ConsumeJsonFlag(&argc, argv);
-  const int threads = mbta::bench::ConsumeThreadsFlag(&argc, argv);
-  if (threads > 0) mbta::RegisterParallelBenchmarks(threads);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
@@ -159,17 +120,6 @@ int main(int argc, char** argv) {
       json.AddRun(params("submodular"), bench::RunSolver(plain, sub));
       json.AddRun(params("submodular"), bench::RunSolver(threshold, sub));
       json.AddRun(params("modular"), bench::RunSolver(exact, mod));
-      if (threads > 0) {
-        SolveOptions options;
-        options.threads = threads;
-        auto par_params = params("submodular");
-        par_params.emplace_back("threads", std::to_string(threads));
-        const ParallelGreedySolver par_lazy(ParallelGreedySolver::Mode::kLazy);
-        const ParallelGreedySolver par_plain(
-            ParallelGreedySolver::Mode::kPlain);
-        json.AddRun(par_params, bench::RunSolver(par_lazy, sub, options));
-        json.AddRun(par_params, bench::RunSolver(par_plain, sub, options));
-      }
     }
   }
   return 0;

@@ -1,15 +1,12 @@
-/// Microbenchmark for the marginal-gain kernels (src/market/objective.cc):
+/// Microbenchmark for the marginal-gain kernel (src/market/objective.cc):
 ///
-///   batch           BatchMarginalGains — the dispatch the solvers call
-///                   (SIMD under -DMBTA_SIMD=ON, scalar otherwise)
-///   batch_scalar    BatchMarginalGainsScalar — the bit-identity anchor
-///   per_edge        one MarginalGain call per edge (arena fold scratch)
+///   per_edge        one MarginalGain call per edge (arena fold scratch) —
+///                   the kernel every solver calls
 ///   per_edge_churn  the pre-overhaul pattern: the same fold with fresh
 ///                   std::vectors allocated per edge
 ///
-/// Every kernel computes the same gains; the bench cross-checks them
-/// (batch vs per-edge exactly, churn to 1e-12) so a timing row can never
-/// come from a kernel that silently diverged. Wall times are min-of-R on
+/// Both compute the same gains; the bench cross-checks them (to 1e-12) so
+/// a timing row can never come from a kernel that silently diverged. Wall times are min-of-R on
 /// a warm scratch; on noisy hosts compare ratios within one run, not
 /// times across runs.
 ///
@@ -158,12 +155,8 @@ void RunCase(bench::JsonLog& json, std::size_t workers, double alpha,
   Fixture f = MakeFixture(GenerateMarket(MTurkLikeConfig(workers, 7)), alpha,
                           kind);
   const std::size_t n = f.candidates.size();
-  std::vector<double> batch_out(n);
-  std::vector<double> scalar_out(n);
   std::vector<double> per_edge_out(n);
   std::vector<double> churn_out(n);
-  ObjectiveState::GainScratch batch_scratch;
-  ObjectiveState::GainScratch scalar_scratch;
 
   struct NamedKernel {
     const char* name;
@@ -171,12 +164,6 @@ void RunCase(bench::JsonLog& json, std::size_t workers, double alpha,
     std::function<void()> body;
   };
   const std::vector<NamedKernel> kernels = {
-      {"batch", batch_out,
-       [&] { f.state->BatchMarginalGains(f.candidates, batch_out,
-                                        &batch_scratch); }},
-      {"batch_scalar", scalar_out,
-       [&] { f.state->BatchMarginalGainsScalar(f.candidates, scalar_out,
-                                              &scalar_scratch); }},
       {"per_edge", per_edge_out,
        [&] {
          for (std::size_t i = 0; i < n; ++i) {
@@ -209,11 +196,9 @@ void RunCase(bench::JsonLog& json, std::size_t workers, double alpha,
   }
 
   // Cross-check: a fast kernel that computes different gains is a bug,
-  // not a result. Batch vs per-edge is a pinned bit-identity contract;
-  // the churn replica is held to near-exact (it shares every operand).
+  // not a result. The churn replica is held to near-exact (it shares
+  // every operand).
   for (std::size_t i = 0; i < n; ++i) {
-    MBTA_CHECK(batch_out[i] == scalar_out[i]);
-    MBTA_CHECK(batch_out[i] == per_edge_out[i]);
     MBTA_CHECK(std::abs(churn_out[i] - per_edge_out[i]) <= 1e-12);
   }
 }

@@ -46,12 +46,11 @@ struct Workload {
 /// Solver line-up for the submodular smoke workloads: the whole registry
 /// (bench::MakeBenchSolver caps local search), so every instrumented
 /// counter family shows up in the emitted JSON — except exact flow, which
-/// needs the modular objective, and the parallel family, which both get
-/// their own workloads below.
+/// needs the modular objective and gets its own workload below.
 std::vector<std::unique_ptr<Solver>> SmokeSolvers(const LaborMarket& market) {
   std::vector<std::unique_ptr<Solver>> solvers;
   for (const SolverEntry& entry : SolverRegistry()) {
-    if (entry.modular_only || entry.parallel) continue;
+    if (entry.modular_only) continue;
     solvers.push_back(bench::MakeBenchSolver(entry.name, 7, market));
   }
   return solvers;
@@ -141,15 +140,14 @@ std::vector<ServiceOp> ServiceChurnStream(std::uint64_t seed) {
 /// wall times land in the "latency/solve_ms" histogram; the latency/
 /// prefix keeps time-valued buckets out of bench_compare's exact diff.
 bool RunOne(const Solver& solver, const MbtaProblem& problem, int repeats,
-            bench::SolverRun* out, const SolveOptions& options = {},
-            Tracer* tracer = nullptr) {
-  const Assignment plain = solver.Solve(problem, options);
+            bench::SolverRun* out, Tracer* tracer) {
+  const Assignment plain = solver.Solve(problem);
   out->solver = solver.name();
   Histogram solve_ms(LatencyBoundariesMs());
   for (int i = 0; i < repeats; ++i) {
     SolveStats info;
     if (i == 0) info.phases.set_tracer(tracer);
-    const Assignment instrumented = solver.Solve(problem, options, &info);
+    const Assignment instrumented = solver.Solve(problem, {}, &info);
     if (instrumented.edges != plain.edges) {
       std::fprintf(stderr,
                    "FAIL: %s returned a different assignment on "
@@ -185,7 +183,7 @@ int main(int argc, char** argv) {
       "per (workload, solver): determinism check + best-of-3 wall time, "
       "counters and phase timings; diff two runs with bench_compare",
       "mturk 300 / uniform 250x250 / upwork 300 submodular + mturk 300 "
-      "modular + uniform 350x350 parallel sweep + resident-service churn "
+      "modular + uniform 350x350 plain-vs-lazy + resident-service churn "
       "stream, alpha=0.5, seed 42");
   bench::JsonLog json(argc, argv, "smoke",
                       "pinned small workloads, alpha=0.5, seed 42");
@@ -203,20 +201,10 @@ int main(int argc, char** argv) {
 
   constexpr int kRepeats = 3;
   bool ok = true;
-  Table table(
-      {"workload", "solver", "threads", "MB", "time(ms)", "gain evals"});
-  // `threads <= 0` marks a serial row: no "threads" param is emitted, so
-  // serial row keys stay byte-identical to pre-parallel records while
-  // each parallel row keys on its thread count (bench_compare matches
-  // rows on experiment + params + solver).
-  const auto report = [&](const Workload& w, const bench::SolverRun& run,
-                          int threads = 0) {
-    bench::JsonLog::Params params{{"workload", w.name}};
-    if (threads > 0) params.emplace_back("threads", std::to_string(threads));
-    json.AddRun(std::move(params), run);
-    table.AddRow({w.name, run.solver,
-                  threads > 0 ? std::to_string(threads) : "-",
-                  Table::Num(run.metrics.mutual_benefit),
+  Table table({"workload", "solver", "MB", "time(ms)", "gain evals"});
+  const auto report = [&](const Workload& w, const bench::SolverRun& run) {
+    json.AddRun({{"workload", w.name}}, run);
+    table.AddRow({w.name, run.solver, Table::Num(run.metrics.mutual_benefit),
                   Table::Num(run.info.wall_ms),
                   Table::Num(static_cast<std::int64_t>(
                       run.info.gain_evaluations))});
@@ -226,7 +214,7 @@ int main(int argc, char** argv) {
     const MbtaProblem p{&w.market, w.objective};
     for (const auto& solver : SmokeSolvers(w.market)) {
       bench::SolverRun run;
-      ok = RunOne(*solver, p, kRepeats, &run, {}, tracer) && ok;
+      ok = RunOne(*solver, p, kRepeats, &run, tracer) && ok;
       report(w, run);
     }
   }
@@ -240,44 +228,27 @@ int main(int argc, char** argv) {
     for (const char* name : {"exact-flow", "greedy"}) {
       bench::SolverRun run;
       ok = RunOne(*MakeSolver(name, 7, modular.market), p, kRepeats, &run,
-                  {}, tracer) &&
+                  tracer) &&
            ok;
       report(modular, run);
     }
   }
 
-  // Parallel sweep: the serial plain-greedy row is the reference and the
-  // parallel solvers run at pinned thread counts on a workload large
-  // enough (~2M gain evaluations per plain solve) that the batched SoA
-  // kernel's advantage clears scheduler noise. The committed baseline
-  // (BENCH_ci.json) records the expected speedup; bench_compare diffs a
-  // fresh run's counters against it exactly — parallel counters are
-  // independent of the thread count by the determinism contract
-  // (CONTRIBUTING.md, "Parallelism"), so these rows double as a
-  // cross-thread-count determinism gate in record form.
+  // Plain-vs-lazy greedy on a workload large enough (~2M gain
+  // evaluations per plain solve) that the gain kernel's cost clears
+  // scheduler noise. The workload keeps its historical "-par" name so the
+  // row keys stay comparable with committed records.
   {
-    const Workload par{"uniform-350-par",
-                       GenerateMarket(UniformConfig(350, 350, 42)),
-                       {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
-    const MbtaProblem p{&par.market, par.objective};
+    const Workload plain{"uniform-350-par",
+                         GenerateMarket(UniformConfig(350, 350, 42)),
+                         {.alpha = 0.5, .kind = ObjectiveKind::kSubmodular}};
+    const MbtaProblem p{&plain.market, plain.objective};
     for (const char* name : {"greedy", "greedy-plain"}) {
       bench::SolverRun run;
-      ok = RunOne(*MakeSolver(name, 7, par.market), p, kRepeats, &run, {},
+      ok = RunOne(*MakeSolver(name, 7, plain.market), p, kRepeats, &run,
                   tracer) &&
            ok;
-      report(par, run);
-    }
-    for (const int threads : {1, 8}) {
-      SolveOptions options;
-      options.threads = threads;
-      for (const SolverEntry& entry : SolverRegistry()) {
-        if (!entry.parallel) continue;
-        bench::SolverRun run;
-        ok = RunOne(*entry.make(7, par.market), p, kRepeats, &run, options,
-                    tracer) &&
-             ok;
-        report(par, run, threads);
-      }
+      report(plain, run);
     }
   }
 
@@ -361,7 +332,7 @@ int main(int argc, char** argv) {
                  {"gain_evaluations",
                   static_cast<double>(run.info.gain_evaluations)}},
                 &run);
-    table.AddRow({"service-churn-600", run.solver, "-",
+    table.AddRow({"service-churn-600", run.solver,
                   Table::Num(run.metrics.mutual_benefit),
                   Table::Num(run.info.wall_ms),
                   Table::Num(static_cast<std::int64_t>(

@@ -6,14 +6,12 @@
 # recovery, `ctest -L 'robustness|service'`) under TSan with the
 # thread-safe registries (-DMBTA_SANITIZE=thread -DMBTA_OBS_THREADSAFE=ON).
 # The TSan leg is what exercises cancellation from a second thread with
-# both threads writing shared counters, plus the parallel solve path:
-# ThreadPool, the parallel Hopcroft-Karp BFS, and a slice of the
-# cross-thread-count determinism sweep. A CLI smoke step checks the
-# mbta_cli exit-code taxonomy (0 ok / 1 usage / 2 bad input / 3 degraded)
-# end-to-end against the plain build, a bench gate diffs a fresh
-# smoke-suite run's counters against the committed BENCH_ci.json, and a
-# trace gate asserts traces are sequence-identical across runs and
-# across thread counts (mbta_trace --diff).
+# both threads writing shared counters, and the tracer's per-thread
+# tracks. A CLI smoke step checks the mbta_cli exit-code taxonomy (0 ok /
+# 1 usage / 2 bad input / 3 degraded) end-to-end against the plain build,
+# a bench gate diffs a fresh smoke-suite run's counters against the
+# committed BENCH_ci.json, and a trace gate asserts two smoke-suite
+# traces are sequence-identical (mbta_trace --diff).
 #
 # Usage: scripts/check.sh [--fast] [--skip-unsupported] [jobs]
 #   --fast               plain build runs only `ctest -L
@@ -119,13 +117,10 @@ lint_gate() {
 
 # Traces are diffed as normalized event sequences (timestamps and
 # durations stripped), so two runs of the same build must produce
-# byte-identical sequences — and by the determinism contract the same
-# holds across thread counts, modulo the `pool` category: pool/slice
-# spans only exist when workers actually run, so the cross-thread-count
-# diff ignores that category (see CONTRIBUTING.md "Tracing").
+# byte-identical sequences (see CONTRIBUTING.md "Tracing").
 trace_gate() {
   echo "=== trace gate: sequence-identical traces (build/) ==="
-  cmake --build build -j "${JOBS}" --target smoke_suite mbta_trace mbta_cli
+  cmake --build build -j "${JOBS}" --target smoke_suite mbta_trace
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
@@ -134,18 +129,7 @@ trace_gate() {
   build/bench/smoke_suite --json "${tmp}/b.json" \
       --trace "${tmp}/b-trace.json" >/dev/null
   build/tools/mbta_trace --diff "${tmp}/a-trace.json" "${tmp}/b-trace.json"
-  local cli=build/tools/mbta_cli
-  "${cli}" generate --dataset mturk --workers 250 --seed 7 \
-      --out "${tmp}/gate.market" >/dev/null
-  "${cli}" solve --market "${tmp}/gate.market" \
-      --solver parallel-greedy-plain --threads 1 \
-      --trace "${tmp}/t1.json" --out "${tmp}/t1.assignment" >/dev/null
-  "${cli}" solve --market "${tmp}/gate.market" \
-      --solver parallel-greedy-plain --threads 8 \
-      --trace "${tmp}/t8.json" --out "${tmp}/t8.assignment" >/dev/null
-  build/tools/mbta_trace --diff "${tmp}/t1.json" "${tmp}/t8.json" \
-      --ignore-cat pool
-  echo "check.sh: traces deterministic across runs and thread counts"
+  echo "check.sh: traces deterministic across runs"
 }
 
 if [ "${FAST}" = "1" ]; then
@@ -184,8 +168,7 @@ if require_sanitizer thread; then
         --target obs_threads_test obs_test json_writer_test \
                  histogram_test trace_test \
                  deadline_test fault_injection_test fallback_solver_test \
-                 cancellation_test thread_pool_test hopcroft_karp_test \
-                 differential_test \
+                 cancellation_test \
                  wal_test snapshot_test market_service_test \
                  service_recovery_test wal_fuzz_test \
                  service_differential_test
@@ -193,23 +176,14 @@ if require_sanitizer thread; then
   build-tsan/tests/obs_test
   build-tsan/tests/json_writer_test
   # The tracer's internal mutexes are always-on (unlike the registries),
-  # so TSan here proves the multi-track span path race-free: trace_test's
-  # pool test drives four worker threads through RegisterThread and
-  # concurrent slice spans.
+  # so TSan here proves the multi-track span path race-free: trace_test
+  # drives three threads through RegisterThread and concurrent spans.
   build-tsan/tests/histogram_test
   build-tsan/tests/trace_test
-  # The parallel-solve path under TSan: the pool's handoff protocol, the
-  # parallel BFS layer expansion, and a slice of the cross-thread-count
-  # determinism sweep (instances 10-19 — the full 100 would take minutes
-  # under TSan; any data race shows up within a handful of instances).
-  build-tsan/tests/thread_pool_test
-  build-tsan/tests/hopcroft_karp_test
-  build-tsan/tests/differential_test \
-      --gtest_filter='*ParallelDeterminismTest*/1?'
-  # The service suite rides along: single-threaded today, but the WAL /
+  # The service suite rides along: single-threaded, but the WAL /
   # snapshot / crash-recovery paths share the obs registries with the
   # instrumented solvers, so running them against the lockable registries
-  # keeps the durability path honest as parallel epochs arrive.
+  # keeps the durability path honest.
   (cd build-tsan && ctest --output-on-failure -j "${JOBS}" \
       -L 'robustness|service')
 fi

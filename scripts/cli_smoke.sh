@@ -84,4 +84,20 @@ expect_exit 2 "${cli}" replay --wal "${tmp}/foreign.wal"
 expect_exit 3 "${cli}" serve --script "${tmp}/serve.script" \
     --work-budget 0
 expect_exit 1 "${cli}" serve --script "${tmp}/serve.script" --alpha 2
+# 1: a flag the subcommand does not list is a usage error naming the
+# flag, not silently ignored (a misspelt budget would run unbounded).
+expect_unknown_flag() {
+  local flag="$1"; shift
+  local got=0
+  "$@" >/dev/null 2>"${tmp}/stderr.txt" || got=$?
+  if [ "${got}" -ne 1 ] || ! grep -q -- "${flag}" "${tmp}/stderr.txt"; then
+    echo "cli_smoke.sh: ERROR: '$*' exited ${got} without naming" \
+         "${flag}, want exit 1 and an error naming it" >&2
+    exit 1
+  fi
+}
+expect_unknown_flag --work-budgt "${cli}" solve --market "${m}" \
+    --solver greedy --work-budgt 5 --out "${tmp}/u.assignment"
+expect_unknown_flag --epoch-bach "${cli}" serve \
+    --script "${tmp}/serve.script" --epoch-bach 4
 echo "cli_smoke.sh: mbta_cli exit codes 0/1/2/3 verified (solve + serve)"

@@ -61,9 +61,8 @@ struct SolveStats {
   PhaseTimings phases;
 
   /// Named value distributions (fixed deterministic boundaries), e.g.
-  /// "greedy/gain" or "solve/parallel/batch_size". Time-valued
-  /// histograms use the "latency/" prefix, which the bench_compare
-  /// determinism gates skip.
+  /// "greedy/gain". Time-valued histograms use the "latency/" prefix,
+  /// which the bench_compare determinism gates skip.
   HistogramRegistry histograms;
 
   /// True when the solve stopped early — DeadlineBudget exhausted (work

@@ -21,12 +21,9 @@ struct SolveOptions {
   /// assignment, with SolveStats::deadline_hit set.
   DeadlineBudget budget;
 
-  /// Worker threads for solvers with a parallel path (ParallelGreedySolver,
-  /// the Hopcroft–Karp BFS inside the matching baselines). Values < 1 are
-  /// clamped to 1; serial solvers ignore it. The determinism contract
-  /// (CONTRIBUTING.md, "Parallelism"): the returned assignment and every
-  /// published counter are byte-identical at any thread count — threads
-  /// buy wall time only. Enforced by tests/differential_test.cc.
+  /// Unused: every solver is single-threaded and no solver reads this.
+  /// It stays only because the perfbench solve harness still sets it, and
+  /// goes together with that line in the next benchmark change.
   int threads = 1;
 
   /// Optional fault-injection harness (tests only). Solvers fire named

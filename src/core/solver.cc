@@ -9,7 +9,6 @@
 #include "core/greedy_solver.h"
 #include "core/local_search_solver.h"
 #include "core/online_solvers.h"
-#include "core/parallel_greedy_solver.h"
 #include "core/stable_matching_solver.h"
 #include "core/threshold_solver.h"
 
@@ -51,12 +50,6 @@ constexpr SolverEntry kRegistry[] = {
     {"online-task-greedy", MakeSeeded<TaskArrivalGreedySolver>},
     {"online-two-phase", MakeSeeded<TwoPhaseOnlineSolver>},
     {"budgeted-greedy", MakeBudgetedGreedy},
-    {.name = "parallel-greedy",
-     .make = Make<ParallelGreedySolver>,
-     .parallel = true},
-    {.name = "parallel-greedy-plain",
-     .make = Make<ParallelGreedySolver, ParallelGreedySolver::Mode::kPlain>,
-     .parallel = true},
 };
 
 constexpr auto kNames = [] {

@@ -45,14 +45,11 @@ struct SolverEntry {
                                   const LaborMarket& market);
   /// Rejects submodular objectives (exact flow).
   bool modular_only = false;
-  /// Honors SolveOptions::threads.
-  bool parallel = false;
 };
 
 /// Every user-selectable solver, in display order: exact flow (modular
 /// only), greedy, threshold, local search, the matching and one-sided
-/// baselines, then plain greedy, the online, budgeted and parallel
-/// families. The CLI, the benches and the cross-solver test suites all
+/// baselines, then plain greedy, the online and budgeted families. The CLI, the benches and the cross-solver test suites all
 /// iterate this list; BruteForceSolver (the tests' oracle) and
 /// FallbackSolver (a composite) are not in it.
 std::span<const SolverEntry> SolverRegistry();

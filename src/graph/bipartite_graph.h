@@ -48,25 +48,6 @@ class BipartiteGraph {
   VertexId EdgeLeft(EdgeId e) const { return edge_left_[e]; }
   VertexId EdgeRight(EdgeId e) const { return edge_right_[e]; }
 
-  /// Contiguous endpoint columns indexed by EdgeId (the graph's native
-  /// SoA layout). Batched kernels stream these instead of calling the
-  /// per-edge accessors so the endpoint loads stay cache-linear and
-  /// auto-vectorizable; higher layers align their per-edge attribute
-  /// columns (quality, benefit, value) with the same dense ids.
-  std::span<const VertexId> EdgeLefts() const { return edge_left_; }
-  std::span<const VertexId> EdgeRights() const { return edge_right_; }
-
-  /// A whole side's adjacency as raw CSR arrays: incidences of vertex v
-  /// live at incidences[offsets[v] .. offsets[v + 1]). Parallel phase
-  /// loops (e.g. Hopcroft–Karp BFS layer expansion) slice this by index
-  /// ranges instead of making one span call per vertex.
-  struct CsrView {
-    std::span<const std::size_t> offsets;    // size = side count + 1
-    std::span<const Incidence> incidences;   // size = NumEdges()
-  };
-  CsrView LeftCsr() const;
-  CsrView RightCsr() const;
-
   /// Looks up the edge between l and r; kInvalidEdge if absent.
   /// O(min degree) scan — fine for the sparse markets used here.
   EdgeId FindEdge(VertexId l, VertexId r) const;

@@ -41,10 +41,10 @@ class LaborMarket {
   double WorkerBenefit(EdgeId e) const { return worker_benefit_[e]; }
 
   /// Per-edge attribute columns, indexed by EdgeId. Attributes are stored
-  /// structure-of-arrays so batched gain kernels (ObjectiveState::
-  /// BatchMarginalGains) stream one contiguous column per quantity instead
-  /// of striding through an array of structs; the scalar accessors above
-  /// read the same memory, so the two paths can never disagree.
+  /// structure-of-arrays so the gain kernel (ObjectiveState::MarginalGain)
+  /// streams one contiguous column per quantity instead of striding
+  /// through an array of structs; the scalar accessors above read the
+  /// same memory, so the two can never disagree.
   std::span<const double> Qualities() const { return quality_; }
   std::span<const double> WorkerBenefits() const { return worker_benefit_; }
   /// V(task(e)) replicated per edge, sparing kernels the EdgeId → TaskId →

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "market/assignment.h"
 #include "market/labor_market.h"
@@ -99,44 +98,6 @@ class ObjectiveState {
   /// Allocation-free: the fold scratch lives in this state's arena.
   double MarginalGain(EdgeId e) const;
 
-  /// Reusable buffers for BatchMarginalGains. One instance per calling
-  /// thread; the vectors grow to the largest worker degree seen and are
-  /// never shrunk, so a warm scratch makes the kernel allocation-free.
-  struct GainScratch {
-    std::vector<double> values;       // worker benefits without the edge
-    std::vector<double> values_plus;  // ... with the candidate appended
-    std::vector<double> terms;        // elementwise products (SIMD path)
-    std::vector<double> weights;      // fatigue^k ladder (SIMD path)
-  };
-
-  /// Batched twin of MarginalGain over the market's SoA attribute
-  /// columns: out[i] = MarginalGain(edges[i]), bit-for-bit. The batch is
-  /// evaluated against the *current* state (no edge in `edges` may be
-  /// chosen); entries are independent, so concurrent callers may split
-  /// `edges`/`out` into disjoint index ranges as long as each brings its
-  /// own scratch. Requires out.size() >= edges.size().
-  ///
-  /// Dispatches to the explicit-SIMD variant when built with MBTA_SIMD
-  /// (see below); otherwise runs the scalar reference.
-  void BatchMarginalGains(std::span<const EdgeId> edges,
-                          std::span<double> out, GainScratch* scratch) const;
-
-  /// The scalar reference kernel: always available, and the bit-identity
-  /// anchor the SIMD path is pinned against in objective_kernel_test.
-  void BatchMarginalGainsScalar(std::span<const EdgeId> edges,
-                                std::span<double> out,
-                                GainScratch* scratch) const;
-
-#if defined(MBTA_SIMD)
-  /// Explicit-SIMD kernel (#pragma omp simd over elementwise stages;
-  /// reductions stay sequential, so results are std::bit_cast-identical
-  /// to the scalar reference — see CONTRIBUTING.md, "Memory &
-  /// allocation"). Only compiled under -DMBTA_SIMD=ON.
-  void BatchMarginalGainsSimd(std::span<const EdgeId> edges,
-                              std::span<double> out,
-                              GainScratch* scratch) const;
-#endif
-
   /// Adds edge `e`. Requires CanAdd(e).
   void Add(EdgeId e);
 
@@ -185,10 +146,8 @@ class ObjectiveState {
   std::span<EdgeId> worker_slots_;
   std::span<EdgeId> task_slots_;
 
-  // Scalar MarginalGain's fold scratch (mutable: MarginalGain is
-  // logically const). Never touched by BatchMarginalGains, which uses
-  // caller-owned GainScratch — so worker threads evaluating batches
-  // never race with these.
+  // MarginalGain's fold scratch (mutable: MarginalGain is logically
+  // const).
   mutable ArenaVector<double> gain_values_;
   mutable ArenaVector<double> gain_values_plus_;
 

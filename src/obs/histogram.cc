@@ -83,10 +83,6 @@ std::vector<double> GainBoundaries() {
   return ExponentialBoundaries(1e-4, 4.0, 16);
 }
 
-std::vector<double> BatchSizeBoundaries() {
-  return ExponentialBoundaries(1.0, 2.0, 16);
-}
-
 std::vector<double> LatencyBoundariesMs() {
   return ExponentialBoundaries(1e-3, 2.0, 24);
 }

@@ -20,7 +20,7 @@ namespace mbta {
 /// overflow bucket [boundaries.back(), +inf)). Because the boundaries are
 /// compile-time-chosen constants — never derived from the data — the
 /// bucket counts for a deterministic value stream are byte-identical
-/// across runs and thread counts, so they can sit in bench records that
+/// across runs and machines, so they can sit in bench records that
 /// `bench_compare` diffs exactly.
 ///
 /// Like the other obs value types, Histogram is a plain single-threaded
@@ -77,14 +77,10 @@ std::vector<double> LinearBoundaries(double first, double step,
 /// corresponding histogram so rows stay comparable across solvers:
 ///  * GainBoundaries        — committed marginal gains ("greedy/gain"):
 ///                            1e-4 * 4^k, 16 boundaries (1e-4 .. ~1e5).
-///  * BatchSizeBoundaries   — batched-kernel sizes
-///                            ("solve/parallel/batch_size"): powers of
-///                            two, 1 .. 32768.
 ///  * LatencyBoundariesMs   — per-event latencies in milliseconds
 ///                            ("latency/..."): 1e-3 * 2^k, 24 boundaries
 ///                            (1µs .. ~8.4s).
 std::vector<double> GainBoundaries();
-std::vector<double> BatchSizeBoundaries();
 std::vector<double> LatencyBoundariesMs();
 
 /// Registry of named histograms, mirroring CounterRegistry: stable

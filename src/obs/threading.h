@@ -8,8 +8,8 @@
 /// overhead — the hot-path contract in CONTRIBUTING.md stays intact.
 /// Configuring with -DMBTA_OBS_THREADSAFE=ON gives both an internal
 /// mbta::Mutex so N threads may publish into one registry concurrently
-/// (groundwork for the parallel solver); scripts/check.sh exercises that
-/// mode under -DMBTA_SANITIZE=thread.
+/// (e.g. a cancellation watchdog next to the solve); scripts/check.sh
+/// exercises that mode under -DMBTA_SANITIZE=thread.
 ///
 /// The MBTA_OBS_* macros below compile away entirely in the default
 /// mode, so annotated members and locked scopes cost nothing there.

@@ -5,7 +5,6 @@
 
 #include "obs/json_writer.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace mbta {
 
@@ -297,36 +296,6 @@ std::string Tracer::ToJson() const {
   w.EndObject();
   w.EndObject();
   return w.TakeString();
-}
-
-void AttachPoolTracing(ThreadPool* pool, Tracer* tracer) {
-  if (pool == nullptr || tracer == nullptr || pool->num_threads() <= 1) {
-    return;
-  }
-  // With num_tasks == num_threads each participant p runs exactly index
-  // p (SliceOf hands out one index per part), so every worker thread
-  // binds itself; the caller (participant 0) is already "main".
-  pool->ParallelFor(static_cast<std::size_t>(pool->num_threads()),
-                    [tracer](std::size_t p) {
-                      if (p > 0) {
-                        tracer->RegisterThread("pool/worker_" +
-                                               std::to_string(p));
-                      }
-                    });
-  auto handles = std::make_shared<std::vector<Tracer::SpanHandle>>(
-      static_cast<std::size_t>(pool->num_threads()));
-  ThreadPool::SliceHooks hooks;
-  hooks.begin = [tracer, handles](int part, std::size_t begin,
-                                  std::size_t end) {
-    Tracer::SpanHandle handle = tracer->BeginSpan("pool/slice", "pool");
-    tracer->AddSpanArg(handle, "tasks",
-                       static_cast<std::int64_t>(end - begin));
-    (*handles)[static_cast<std::size_t>(part)] = handle;
-  };
-  hooks.end = [tracer, handles](int part) {
-    tracer->EndSpan((*handles)[static_cast<std::size_t>(part)]);
-  };
-  pool->set_slice_hooks(std::move(hooks));
 }
 
 bool Tracer::WriteFile(const std::string& path, std::string* error) const {

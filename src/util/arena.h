@@ -46,8 +46,6 @@ namespace mbta {
 /// Reset() a constant-time rewind.
 ///
 /// Not thread-safe: one arena belongs to one solve call on one thread.
-/// Worker threads that need scratch bring their own buffers (see
-/// ObjectiveState::GainScratch).
 class Arena {
  public:
   static constexpr std::size_t kDefaultPageBytes = std::size_t{1} << 16;

@@ -218,71 +218,6 @@ TEST_P(DifferentialTest, AllSolversValidDeterministicAndOrdered) {
 INSTANTIATE_TEST_SUITE_P(Instances, DifferentialTest,
                          ::testing::Range(0, 100));
 
-/// The parallel determinism gate (CONTRIBUTING.md, "Parallelism"): on the
-/// same 100-instance grid, the parallel solvers must produce byte-identical
-/// assignments and identical deterministic counters at every thread count.
-/// Wall time is the only thing threads may change.
-class ParallelDeterminismTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelDeterminismTest, ThreadSweepIsByteIdentical) {
-  const Regime regime = MakeRegime(GetParam());
-  SCOPED_TRACE(regime.Describe());
-  const LaborMarket market = GenerateMarket(regime.config);
-  ASSERT_GT(market.NumEdges(), 0u) << "degenerate regime: no edges";
-
-  for (const ObjectiveKind kind :
-       {ObjectiveKind::kSubmodular, ObjectiveKind::kModular}) {
-    const MbtaProblem problem{&market, {.alpha = regime.alpha, .kind = kind}};
-    SCOPED_TRACE(std::string("kind=") + ToString(kind));
-    std::vector<Assignment> serial_answers;
-    for (const SolverEntry& entry : SolverRegistry()) {
-      if (!entry.parallel) continue;
-      const std::unique_ptr<Solver> solver =
-          entry.make(regime.config.seed, market);
-      SCOPED_TRACE("solver=" + solver->name());
-
-      // The serial twin: the same solver at threads = 1.
-      SolveOptions serial_options;
-      serial_options.threads = 1;
-      SolveStats serial_stats;
-      const Assignment serial =
-          solver->Solve(problem, serial_options, &serial_stats);
-
-      for (const int threads : {2, 4, 8}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        SolveOptions options;
-        options.threads = threads;
-        SolveStats stats;
-        const Assignment parallel = solver->Solve(problem, options, &stats);
-        EXPECT_EQ(parallel.edges, serial.edges)
-            << "thread count changed the assignment";
-        // Full counter-map equality — keys and values. The thread count
-        // itself is published as a gauge precisely so this comparison
-        // stays exact; wall_ms is deliberately not compared.
-        EXPECT_EQ(stats.counters.counters(), serial_stats.counters.counters())
-            << "thread count changed a deterministic counter";
-        EXPECT_EQ(stats.gain_evaluations, serial_stats.gain_evaluations);
-        EXPECT_EQ(stats.counters.Gauge("solve/parallel/threads"),
-                  static_cast<double>(threads));
-      }
-
-      serial_answers.push_back(serial);
-    }
-
-    // Every parallel variant computes exact greedy with the lowest-edge-id
-    // tie-break, so all of them agree with the serial plain scan solver.
-    const Assignment plain_serial =
-        MakeSolver("greedy-plain", 0, market)->Solve(problem);
-    for (const Assignment& serial : serial_answers) {
-      EXPECT_EQ(serial.edges, plain_serial.edges)
-          << "a parallel variant diverged from the serial plain solver";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Instances, ParallelDeterminismTest,
-                         ::testing::Range(0, 100));
-
 /// Tiny instances where brute force supplies ground truth.
 class TinyOracleTest : public ::testing::TestWithParam<int> {};
 

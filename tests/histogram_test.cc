@@ -132,7 +132,7 @@ TEST(Histogram, LinearBoundariesAreArithmetic) {
 
 TEST(Histogram, StandardLaddersAreStrictlyIncreasing) {
   for (const auto& boundaries :
-       {GainBoundaries(), BatchSizeBoundaries(), LatencyBoundariesMs()}) {
+       {GainBoundaries(), LatencyBoundariesMs()}) {
     ASSERT_FALSE(boundaries.empty());
     for (std::size_t i = 1; i < boundaries.size(); ++i) {
       EXPECT_LT(boundaries[i - 1], boundaries[i]);

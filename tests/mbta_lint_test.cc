@@ -523,7 +523,7 @@ TEST(R7RawClock, MemberNamedSleepForIsFine) {
 }
 
 // ---------------------------------------------------------------------------
-// R8 — raw threading primitives outside the ThreadPool seam.
+// R8 — raw threading primitives in library code outside src/util.
 // ---------------------------------------------------------------------------
 
 TEST(R8RawThreads, FiresOnStdThread) {
@@ -549,7 +549,7 @@ TEST(R8RawThreads, FiresOnJthreadAndAsync) {
 }
 
 TEST(R8RawThreads, UtilIsExemptButObsIsNot) {
-  // src/util hosts the ThreadPool itself; src/obs gets no exemption —
+  // src/util is the exempt directory; src/obs gets no exemption —
   // its thread-safe registries guard shared state, they don't spawn.
   const std::string raw = "void f() { std::thread t([] {}); t.join(); }\n";
   EXPECT_TRUE(Clean(LintAs("src/util/thread_pool.cc", raw)));

@@ -24,27 +24,41 @@ std::atomic<std::uint64_t> g_new_calls{0};
 // Replaceable global allocation functions, counting every heap
 // acquisition. Frees are not counted: the contract under test is about
 // acquiring memory in the hot path.
-void* operator new(std::size_t size) {
+// [[gnu::noinline]] on all twelve keeps GCC from inlining a replaced
+// new into its caller and then pairing that malloc with a (sized or
+// array) delete it cannot see through, which -Wmismatched-new-delete
+// reports as a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

@@ -1,5 +1,5 @@
 /// Tests for the Tracer: span nesting and depth bookkeeping, the flight
-/// recorder ring buffer, thread-track registration through the pool, and
+/// recorder ring buffer, per-thread track registration, and
 /// a JsonValue round-trip of the emitted Chrome trace-event JSON (the
 /// contract mbta_trace, Perfetto, and chrome://tracing all consume).
 
@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json_value.h"
-#include "util/thread_pool.h"
 
 namespace mbta {
 namespace {
@@ -202,48 +202,42 @@ TEST(Tracer, JsonCarriesChromeTraceFields) {
   EXPECT_EQ(mbta->Find("dropped_events")->NumberOr(-1.0), 0.0);
 }
 
-TEST(Tracer, PoolWorkersRegisterDeterministicTracks) {
+TEST(Tracer, ThreadsRegisterSortedTracks) {
   Tracer tracer;
   {
-    ThreadPool pool(4);
-    AttachPoolTracing(&pool, &tracer);
-    pool.ParallelFor(64, [](std::size_t) {});
+    // Registered in reverse; track ids still follow name order.
+    std::vector<std::thread> threads;
+    for (int t = 3; t >= 1; --t) {
+      threads.emplace_back([&tracer, t] {
+        tracer.RegisterThread("thread/worker_" + std::to_string(t));
+        ScopedSpan span(&tracer, "thread/work", "test");
+        span.Arg("worker", t);
+      });
+    }
+    for (std::thread& th : threads) th.join();
   }
 
   JsonValue doc;
   ASSERT_TRUE(JsonValue::Parse(tracer.ToJson(), &doc));
   const auto metadata = EventsWithPhase(doc, "M");
-  // process_name + main + 3 workers.
+  // process_name + main + 3 workers, tracks sorted by name.
   ASSERT_EQ(metadata.size(), 5u);
   std::vector<std::string> names;
   for (std::size_t i = 1; i < metadata.size(); ++i) {
     names.push_back(std::string(
         metadata[i]->Find("args")->Find("name")->StringOr("")));
   }
-  const std::vector<std::string> expected = {"main", "pool/worker_1",
-                                             "pool/worker_2",
-                                             "pool/worker_3"};
+  const std::vector<std::string> expected = {"main", "thread/worker_1",
+                                             "thread/worker_2",
+                                             "thread/worker_3"};
   EXPECT_EQ(names, expected);
 
-  // Every participant (main included) emitted one pool/slice span for
-  // the 64-task job, each covering 16 tasks.
+  // Each worker's span landed on its own track.
   const auto spans = EventsWithPhase(doc, "X");
-  ASSERT_EQ(spans.size(), 4u);
+  ASSERT_EQ(spans.size(), 3u);
   for (const JsonValue* span : spans) {
-    EXPECT_EQ(std::string(span->Find("name")->StringOr("")), "pool/slice");
-    EXPECT_EQ(std::string(span->Find("cat")->StringOr("")), "pool");
-    EXPECT_EQ(span->Find("args")->Find("tasks")->NumberOr(-1.0), 16.0);
+    EXPECT_EQ(std::string(span->Find("name")->StringOr("")), "thread/work");
   }
-}
-
-TEST(Tracer, SingleThreadPoolNeedsNoTracks) {
-  Tracer tracer;
-  ThreadPool pool(1);
-  AttachPoolTracing(&pool, &tracer);  // no-op: inline execution only
-  pool.ParallelFor(8, [](std::size_t) {});
-  JsonValue doc;
-  ASSERT_TRUE(JsonValue::Parse(tracer.ToJson(), &doc));
-  EXPECT_EQ(doc.Find("mbta")->Find("events")->NumberOr(-1.0), 0.0);
 }
 
 TEST(Tracer, WriteFileRoundTrips) {

@@ -357,7 +357,7 @@ class Linter {
     }
   }
 
-  // R8 — raw threading primitives outside the ThreadPool seam.
+  // R8 — raw threading primitives in library code outside src/util.
   void RuleRawThreads() {
     static const std::set<std::string> kBanned = {"thread", "jthread",
                                                   "async"};
@@ -370,10 +370,10 @@ class Linter {
       if (!(IsIdent(i - 2, "std") && IsPunct(i - 1, "::"))) continue;
       Report(t.line, "R8", "thread-ok",
              "std::" + t.text +
-                 " outside src/util: spawn parallelism through "
-                 "mbta::ThreadPool (src/util/thread_pool.h) so slicing "
-                 "stays deterministic and the determinism gate in "
-                 "tests/differential_test.cc keeps meaning something "
+                 " outside src/util: the solvers are single-threaded, "
+                 "and a thread spawned in library code puts their "
+                 "byte-identical determinism contract at the mercy of "
+                 "scheduling; keep threading primitives in src/util "
                  "(waive with // mbta-lint: thread-ok(reason))");
     }
   }

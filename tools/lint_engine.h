@@ -55,11 +55,10 @@ struct Violation {
 ///       injectable Clock seam (src/util/clock.h), making deadline code
 ///       untestable with FakeClock. Waiver: clock-ok.
 ///   R8  no raw threading primitives in library code outside src/util:
-///       std::thread, std::jthread and std::async bypass the
-///       deterministic ThreadPool seam (src/util/thread_pool.h), whose
-///       fixed contiguous slicing is what makes the parallel solvers'
-///       byte-identical-at-any-thread-count contract checkable.
-///       Waiver: thread-ok.
+///       std::thread, std::jthread and std::async. The solvers are
+///       single-threaded, which is what keeps their byte-identical
+///       determinism contract checkable; threads stay in tests, tools
+///       and src/util. Waiver: thread-ok.
 ///   R9  no heap allocation in solver inner loops: `new`, std::make_unique
 ///       / make_shared, and standard-container construction (vector,
 ///       string, map, set, deque, queue, priority_queue, unordered_*, ...)

@@ -10,22 +10,25 @@
 ///   mbta_cli compare  --market m.market --alpha 0.5
 ///
 /// `--solver` takes any name of the solver registry (core/solver.h);
-/// `mbta_cli` without arguments lists them. The parallel-greedy family
-/// honors --threads (results are byte-identical at any thread count;
-/// threads buy wall time only).
+/// `mbta_cli` without arguments lists them. Each subcommand accepts
+/// exactly the flags its usage line lists; any other flag is a usage
+/// error (exit 1).
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <ranges>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,10 +59,6 @@ constexpr int kExitUsage = 1;
 constexpr int kExitBadInput = 2;
 constexpr int kExitDegraded = 3;
 constexpr int kExitInternal = 4;
-
-/// Ceiling on --threads: each thread is an OS thread, and the answer is
-/// byte-identical at any count, so a higher value buys nothing.
-constexpr std::uint64_t kMaxThreads = 64;
 
 /// A malformed flag value; main() reports it and exits kExitUsage.
 struct UsageError : std::runtime_error {
@@ -140,49 +139,6 @@ void PrintSolveStats(const SolveStats& info) {
     }
     std::printf("%s", phases.ToString().c_str());
   }
-}
-
-int Usage() {
-  std::string solvers;
-  for (const std::string_view name : SolverNames()) {
-    solvers += solvers.empty() ? "" : ", ";
-    solvers += name;
-  }
-  std::fprintf(
-      stderr,
-      "usage: mbta_cli <generate|stats|solve|evaluate|compare|serve|replay>"
-      " [--flag value ...]\n"
-      "  generate --dataset uniform|zipf|mturk|upwork --workers N\n"
-      "           [--tasks N] [--seed S] --out FILE\n"
-      "  stats    --market FILE\n"
-      "  solve    --market FILE [--solver greedy] [--alpha 0.5]\n"
-      "           [--objective submodular|modular] [--seed S] [--stats]\n"
-      "           [--work-budget N] [--deadline-ms MS] [--fallback]\n"
-      "           [--threads N] [--trace FILE] --out FILE\n"
-      "  evaluate --market FILE --assignment FILE [--alpha 0.5]\n"
-      "           [--objective submodular|modular]\n"
-      "  compare  --market FILE [--alpha 0.5] [--stats]\n"
-      "  serve    --script FILE [--wal FILE] [--epoch-batch N] [--queue N]\n"
-      "           [--snapshot-every N] [--resolve-ratio R] [--work-budget N]\n"
-      "           [--degrade-after-ms MS] [--alpha 0.5] [--out FILE]\n"
-      "           [--trace FILE] [--stats]\n"
-      "  replay   --wal FILE [--dump-state] [--stats]\n"
-      "--solver is one of: %s\n"
-      "(exact-flow requires --objective modular)\n"
-      "--stats prints the solver's work counters and phase timings\n"
-      "--work-budget/--deadline-ms bound the solve; --fallback runs the\n"
-      "standard degradation chain (exact flow -> greedy -> worker-centric)\n"
-      "--threads N (1-%d) runs the parallel solvers on N threads (same\n"
-      "answer, less wall time)\n"
-      "--trace FILE records the solve as a Chrome trace-event JSON file\n"
-      "(open in Perfetto or chrome://tracing, analyze with mbta_trace)\n"
-      "serve drives a resident MarketService from a delta script (one\n"
-      "delta per line, literal `epoch` lines run an epoch); with --wal\n"
-      "the service is durable and `replay` recovers it from disk\n"
-      "exit codes: 0 ok, 1 usage, 2 bad input, 3 degraded solve, "
-      "4 internal\n",
-      solvers.c_str(), static_cast<int>(kMaxThreads));
-  return kExitUsage;
 }
 
 ObjectiveParams MakeObjectiveParams(const Args& args) {
@@ -270,12 +226,6 @@ int Solve(const Args& args) {
   solve_options.budget.max_work =
       args.GetUint("work-budget", DeadlineBudget::kUnlimitedWork);
   solve_options.budget.max_wall_ms = args.GetDouble("deadline-ms", 0.0);
-  const std::uint64_t threads = args.GetUint("threads", 1);
-  if (threads < 1 || threads > kMaxThreads) {
-    throw UsageError("--threads must lie in [1, " +
-                     std::to_string(kMaxThreads) + "]");
-  }
-  solve_options.threads = static_cast<int>(threads);
   const bool fallback = args.GetBool("fallback");
   // The fallback chain opens with exact flow, so it shares its contract.
   const std::string solver_name =
@@ -577,30 +527,113 @@ int Replay(const Args& args) {
   return kExitOk;
 }
 
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  /// The flags as Usage() prints them. Also the accepted set: every
+  /// `--name` token here is a flag the command takes, and Main rejects
+  /// any other.
+  std::string_view flags;
+};
+
+constexpr Command kCommands[] = {
+    {"generate", Generate,
+     "--dataset uniform|zipf|mturk|upwork --workers N\n"
+     "           [--tasks N] [--seed S] --out FILE"},
+    {"stats", Stats, "--market FILE"},
+    {"solve", Solve,
+     "--market FILE [--solver greedy] [--alpha 0.5]\n"
+     "           [--objective submodular|modular] [--seed S] [--stats]\n"
+     "           [--work-budget N] [--deadline-ms MS] [--fallback]\n"
+     "           [--trace FILE] --out FILE"},
+    {"evaluate", EvaluateCmd,
+     "--market FILE --assignment FILE [--alpha 0.5]\n"
+     "           [--objective submodular|modular]"},
+    {"compare", Compare,
+     "--market FILE [--alpha 0.5] [--objective submodular|modular]\n"
+     "           [--seed S] [--stats]"},
+    {"serve", Serve,
+     "--script FILE [--wal FILE] [--epoch-batch N] [--queue N]\n"
+     "           [--snapshot-every N] [--resolve-ratio R] [--work-budget N]\n"
+     "           [--degrade-after-ms MS] [--alpha 0.5]\n"
+     "           [--objective submodular|modular] [--out FILE]\n"
+     "           [--trace FILE] [--stats]"},
+    {"replay", Replay,
+     "--wal FILE [--dump-state] [--stats] [--epoch-batch N]\n"
+     "           [--queue N] [--snapshot-every N] [--resolve-ratio R]\n"
+     "           [--work-budget N] [--degrade-after-ms MS] [--alpha 0.5]\n"
+     "           [--objective submodular|modular]"},
+};
+
+/// True iff `flags` (a Command::flags text) lists `--flag`.
+bool ListsFlag(std::string_view flags, std::string_view flag) {
+  for (std::size_t at = flags.find("--"); at != std::string_view::npos;
+       at = flags.find("--", at + 2)) {
+    const std::size_t begin = at + 2;
+    const std::size_t end = flags.find_first_of(" ]\n", begin);
+    if (flags.substr(begin, end - begin) == flag) return true;
+  }
+  return false;
+}
+
+int Usage() {
+  std::string solvers;
+  for (const std::string_view name : SolverNames()) {
+    solvers += solvers.empty() ? "" : ", ";
+    solvers += name;
+  }
+  std::string commands;
+  for (const Command& command : kCommands) {
+    commands += "  " + std::string(command.name);
+    commands.append(9 - command.name.size(), ' ');
+    commands += std::string(command.flags) + "\n";
+  }
+  std::fprintf(
+      stderr,
+      "usage: mbta_cli <generate|stats|solve|evaluate|compare|serve|replay>"
+      " [--flag value ...]\n"
+      "%s"
+      "--solver is one of: %s\n"
+      "(exact-flow requires --objective modular)\n"
+      "--stats prints the solver's work counters and phase timings\n"
+      "--work-budget/--deadline-ms bound the solve; --fallback runs the\n"
+      "standard degradation chain (exact flow -> greedy -> worker-centric)\n"
+      "--trace FILE records the solve as a Chrome trace-event JSON file\n"
+      "(open in Perfetto or chrome://tracing, analyze with mbta_trace)\n"
+      "serve drives a resident MarketService from a delta script (one\n"
+      "delta per line, literal `epoch` lines run an epoch); with --wal\n"
+      "the service is durable and `replay` recovers it from disk (pass\n"
+      "replay the service flags serve ran with)\n"
+      "exit codes: 0 ok, 1 usage, 2 bad input, 3 degraded solve, "
+      "4 internal\n",
+      commands.c_str(), solvers.c_str());
+  return kExitUsage;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
+  const std::string_view name = argv[1];
+  const auto command = std::ranges::find(kCommands, name, &Command::name);
+  if (command == std::end(kCommands)) return Usage();
   Args args;
   for (int i = 2; i < argc;) {
     if (std::strncmp(argv[i], "--", 2) != 0) return Usage();
+    const char* flag = argv[i] + 2;
+    if (!ListsFlag(command->flags, flag)) {
+      throw UsageError("unknown flag --" + std::string(flag) + " for " +
+                       std::string(name));
+    }
     // A flag followed by another flag (or by nothing) is boolean, e.g.
     // `--stats`; otherwise the next token is its value.
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.flags[argv[i] + 2] = argv[i + 1];
+      args.flags[flag] = argv[i + 1];
       i += 2;
     } else {
-      args.flags[argv[i] + 2] = "1";
+      args.flags[flag] = "1";
       i += 1;
     }
   }
-  if (command == "generate") return Generate(args);
-  if (command == "stats") return Stats(args);
-  if (command == "solve") return Solve(args);
-  if (command == "evaluate") return EvaluateCmd(args);
-  if (command == "compare") return Compare(args);
-  if (command == "serve") return Serve(args);
-  if (command == "replay") return Replay(args);
-  return Usage();
+  return command->run(args);
 }
 
 }  // namespace

@@ -17,8 +17,8 @@
 ///       depth, and args, in emission order. Timestamps, durations, and
 ///       ids are excluded, so two runs of a deterministic program must
 ///       diff clean even though their clocks differ. `--ignore-cat`
-///       drops a category first (e.g. "pool": slice spans exist only on
-///       multi-thread runs, so cross-thread-count diffs ignore them).
+///       drops a category first, for spans whose presence legitimately
+///       differs between the two runs.
 ///
 /// Exit codes: 0 ok / 1 usage / 2 bad input / 3 traces differ.
 ///
