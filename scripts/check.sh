@@ -3,11 +3,10 @@
 # under ASan and UBSan instrumentation (-DMBTA_SANITIZE presets), then
 # the obs tests AND the robustness + service suites (deadline /
 # fault-injection / fallback / cancellation plus WAL / snapshot / crash
-# recovery, `ctest -L 'robustness|service'`) under TSan with the
-# thread-safe registries (-DMBTA_SANITIZE=thread -DMBTA_OBS_THREADSAFE=ON).
-# The TSan leg is what exercises cancellation from a second thread with
-# both threads writing shared counters, and the tracer's per-thread
-# tracks. A CLI smoke step checks the mbta_cli exit-code taxonomy (0 ok /
+# recovery, `ctest -L 'robustness|service'`) under TSan
+# (-DMBTA_SANITIZE=thread). The TSan leg is what exercises cancellation
+# from a second thread: the watchdog shares only the atomic cancel flag
+# with the solve. A CLI smoke step checks the mbta_cli exit-code taxonomy (0 ok /
 # 1 usage / 2 bad input / 3 degraded) end-to-end against the plain build,
 # a bench gate diffs a fresh smoke-suite run's counters against the
 # committed BENCH_ci.json, and a trace gate asserts two smoke-suite
@@ -152,38 +151,31 @@ if require_sanitizer undefined; then
   run_suite build-ubsan undefined ""
 fi
 
-# TSan leg: the concurrent obs registries plus the robustness suite.
-# MBTA_OBS_THREADSAFE=ON makes the counter registries lockable, which the
-# cancellation tests rely on to write counters from a watchdog thread
-# while the solver thread runs — TSan then proves the whole
-# budget/cancel/fallback path race-free. Building targets directly keeps
+# TSan leg: the obs tests plus the robustness suite. The cancellation
+# tests set the atomic cancel flag from a watchdog thread while the
+# solver thread runs — TSan then proves the whole budget/cancel/fallback
+# path race-free. Building targets directly keeps
 # this leg minutes-cheap; `ctest -L robustness` only matches tests whose
 # binaries were built (unbuilt targets surface as unlabeled NOT_BUILT
 # placeholders and are skipped by the label filter).
 if require_sanitizer thread; then
-  echo "=== build-tsan (MBTA_SANITIZE='thread' MBTA_OBS_THREADSAFE=ON) ==="
-  cmake -B build-tsan -S . -DMBTA_SANITIZE=thread \
-        -DMBTA_OBS_THREADSAFE=ON >/dev/null
+  echo "=== build-tsan (MBTA_SANITIZE='thread') ==="
+  cmake -B build-tsan -S . -DMBTA_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" \
-        --target obs_threads_test obs_test json_writer_test \
+        --target obs_test json_writer_test \
                  histogram_test trace_test \
                  deadline_test fault_injection_test fallback_solver_test \
                  cancellation_test \
                  wal_test snapshot_test market_service_test \
                  service_recovery_test wal_fuzz_test \
                  service_differential_test
-  build-tsan/tests/obs_threads_test
   build-tsan/tests/obs_test
   build-tsan/tests/json_writer_test
-  # The tracer's internal mutexes are always-on (unlike the registries),
-  # so TSan here proves the multi-track span path race-free: trace_test
-  # drives three threads through RegisterThread and concurrent spans.
   build-tsan/tests/histogram_test
   build-tsan/tests/trace_test
-  # The service suite rides along: single-threaded, but the WAL /
-  # snapshot / crash-recovery paths share the obs registries with the
-  # instrumented solvers, so running them against the lockable registries
-  # keeps the durability path honest.
+  # The service suite rides along: single-threaded, but instrumented, so
+  # a thread the WAL / snapshot / crash-recovery paths ever started
+  # would have its races reported here.
   (cd build-tsan && ctest --output-on-failure -j "${JOBS}" \
       -L 'robustness|service')
 fi

@@ -84,6 +84,26 @@ expect_exit 2 "${cli}" replay --wal "${tmp}/foreign.wal"
 expect_exit 3 "${cli}" serve --script "${tmp}/serve.script" \
     --work-budget 0
 expect_exit 1 "${cli}" serve --script "${tmp}/serve.script" --alpha 2
+# The WAL records the config serve ran with: replay needs no service
+# flag to reproduce the run, and restarting serve on that WAL under a
+# different config is bad input (2) naming the field that differs.
+"${cli}" serve --script "${tmp}/serve.script" --alpha 0.2 \
+    --wal "${tmp}/alpha.wal" > "${tmp}/serve_alpha.txt"
+"${cli}" replay --wal "${tmp}/alpha.wal" > "${tmp}/replay_alpha.txt"
+if ! diff <(grep '^epochs' "${tmp}/serve_alpha.txt") \
+          <(grep '^epochs' "${tmp}/replay_alpha.txt") >/dev/null; then
+  echo "cli_smoke.sh: ERROR: replay of an --alpha 0.2 WAL did not" \
+       "reproduce serve's objective line" >&2
+  exit 1
+fi
+got=0
+"${cli}" serve --script "${tmp}/serve.script" --alpha 0.5 \
+    --wal "${tmp}/alpha.wal" >/dev/null 2>"${tmp}/stderr.txt" || got=$?
+if [ "${got}" -ne 2 ] || ! grep -q alpha "${tmp}/stderr.txt"; then
+  echo "cli_smoke.sh: ERROR: serve under a different --alpha exited" \
+       "${got} without naming alpha, want exit 2 and an error naming it" >&2
+  exit 1
+fi
 # 1: a flag the subcommand does not list is a usage error naming the
 # flag, not silently ignored (a misspelt budget would run unbounded).
 expect_unknown_flag() {

@@ -29,6 +29,22 @@ EdgeId FindEdge(const LaborMarket& market, WorkerId w, TaskId t) {
 
 }  // namespace
 
+WalConfig WalConfigOf(const ServiceConfig& config) {
+  WalConfig wal;
+  wal.objective = config.objective;
+  wal.edge_model = config.edge_model;
+  wal.resolve_ratio = config.resolve_ratio;
+  wal.epoch_max_work = config.epoch_max_work;
+  return wal;
+}
+
+void ApplyWalConfig(const WalConfig& wal, ServiceConfig* config) {
+  config->objective = wal.objective;
+  config->edge_model = wal.edge_model;
+  config->resolve_ratio = wal.resolve_ratio;
+  config->epoch_max_work = wal.epoch_max_work;
+}
+
 MarketService::MarketService(ServiceConfig config)
     : config_(std::move(config)) {
   durable_ = !config_.wal_path.empty();
@@ -61,6 +77,15 @@ bool MarketService::RecoverFromDisk(std::string* error) {
       wal_exists = false;
     } else {
       SetError(error, "WAL unreadable: " + why);
+      return false;
+    }
+  }
+  const WalConfig config = WalConfigOf(config_);
+  if (wal_exists && wal->config.has_value()) {
+    const std::string field = FirstWalConfigMismatch(*wal->config, config);
+    if (!field.empty()) {
+      SetError(error, "WAL was written with a different " + field +
+                          " than this service is configured with");
       return false;
     }
   }
@@ -126,7 +151,8 @@ bool MarketService::RecoverFromDisk(std::string* error) {
   }
 
   // 4. Reopen the log for append.
-  if (!wal_.Open(config_.wal_path, &why, config_.faults, config_.syncer)) {
+  if (!wal_.Open(config_.wal_path, config, &why, config_.faults,
+                 config_.syncer)) {
     SetError(error, why);
     return false;
   }

@@ -61,6 +61,12 @@ struct ServiceConfig {
   FileSyncer* syncer = nullptr;
 };
 
+/// The fields of `config` the WAL header records (see WalConfig).
+WalConfig WalConfigOf(const ServiceConfig& config);
+/// Overwrites those fields of `config` with `wal`'s, e.g. to replay a log
+/// under the config that wrote it.
+void ApplyWalConfig(const WalConfig& wal, ServiceConfig* config);
+
 /// Outcome of one Submit call.
 enum class SubmitResult {
   kAdmitted,  ///< logged (when durable) and queued for the next epoch
@@ -99,8 +105,10 @@ class MarketService {
   /// WAL when present (amputating a torn WAL tail first), then open the
   /// WAL for append; in-memory services start empty. Returns false and
   /// fills `error` when recovery fails structurally (corrupt snapshot,
-  /// foreign WAL, replay checksum mismatch — deleting the files is the
-  /// only way forward, and that is the operator's call, not ours).
+  /// foreign WAL, a WAL written under a different config, replay
+  /// checksum mismatch — restarting with the log's config or deleting
+  /// the files is the only way forward, and that is the operator's call,
+  /// not ours).
   bool Start(std::string* error = nullptr);
 
   /// Validates and admits one delta (see SubmitResult). Admitted deltas

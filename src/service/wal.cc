@@ -2,6 +2,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 
 #include "util/crc32.h"
@@ -11,8 +14,10 @@ namespace mbta {
 
 namespace {
 
-constexpr std::size_t kHeaderSize = sizeof(kWalMagic);
+constexpr std::size_t kMagicSize = sizeof(kWalMagic);
 constexpr std::size_t kFrameHeaderSize = 8;  // u32 len + u32 crc
+constexpr std::size_t kConfigBodySize =
+    kWalHeaderSize - kMagicSize - kFrameHeaderSize;
 /// kEpoch payload body: u64 epoch, u8 mode, u32 num_deltas, u64
 /// value_bits, u32 state_crc.
 constexpr std::size_t kEpochBodySize = 8 + 1 + 4 + 8 + 4;
@@ -49,6 +54,34 @@ std::uint64_t GetU64(const unsigned char* p) {
   return v;
 }
 
+/// Decodes and validates a config payload of kConfigBodySize bytes.
+bool DecodeConfig(const unsigned char* p, WalConfig* config,
+                  std::string* error) {
+  config->objective.alpha = std::bit_cast<double>(GetU64(p));
+  const unsigned char kind = p[8];
+  config->edge_model.skill_threshold = std::bit_cast<double>(GetU64(p + 9));
+  config->edge_model.interest_weight = std::bit_cast<double>(GetU64(p + 17));
+  config->resolve_ratio = std::bit_cast<double>(GetU64(p + 25));
+  config->epoch_max_work = GetU64(p + 33);
+  const double alpha = config->objective.alpha;
+  if (!(alpha >= 0.0 && alpha <= 1.0)) {
+    SetError(error, "bad WAL config: objective.alpha outside [0, 1]");
+    return false;
+  }
+  if (kind > static_cast<unsigned char>(ObjectiveKind::kSubmodular)) {
+    SetError(error, "bad WAL config: unknown objective.kind");
+    return false;
+  }
+  config->objective.kind = static_cast<ObjectiveKind>(kind);
+  if (!std::isfinite(config->edge_model.skill_threshold) ||
+      !std::isfinite(config->edge_model.interest_weight) ||
+      !std::isfinite(config->resolve_ratio)) {
+    SetError(error, "bad WAL config: non-finite edge model or resolve ratio");
+    return false;
+  }
+  return true;
+}
+
 class RealFileSyncer : public FileSyncer {
  public:
   bool Sync(std::FILE* file) override {
@@ -58,6 +91,39 @@ class RealFileSyncer : public FileSyncer {
 };
 
 }  // namespace
+
+std::string FirstWalConfigMismatch(const WalConfig& a, const WalConfig& b) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  if (!same(a.objective.alpha, b.objective.alpha)) return "objective.alpha";
+  if (a.objective.kind != b.objective.kind) return "objective.kind";
+  if (!same(a.edge_model.skill_threshold, b.edge_model.skill_threshold)) {
+    return "edge_model.skill_threshold";
+  }
+  if (!same(a.edge_model.interest_weight, b.edge_model.interest_weight)) {
+    return "edge_model.interest_weight";
+  }
+  if (!same(a.resolve_ratio, b.resolve_ratio)) return "resolve_ratio";
+  if (a.epoch_max_work != b.epoch_max_work) return "epoch_max_work";
+  return "";
+}
+
+std::string EncodeWalHeader(const WalConfig& config) {
+  std::string body;
+  PutU64(std::bit_cast<std::uint64_t>(config.objective.alpha), &body);
+  body.push_back(static_cast<char>(config.objective.kind));
+  PutU64(std::bit_cast<std::uint64_t>(config.edge_model.skill_threshold),
+         &body);
+  PutU64(std::bit_cast<std::uint64_t>(config.edge_model.interest_weight),
+         &body);
+  PutU64(std::bit_cast<std::uint64_t>(config.resolve_ratio), &body);
+  PutU64(config.epoch_max_work, &body);
+  std::string header(kWalMagic, kMagicSize);
+  PutU32(static_cast<std::uint32_t>(body.size()), &header);
+  PutU32(Crc32(body), &header);
+  return header + body;
+}
 
 FileSyncer* FileSyncer::Real() {
   static RealFileSyncer syncer;
@@ -73,8 +139,9 @@ void WalWriter::Close() {
   }
 }
 
-bool WalWriter::Open(const std::string& path, std::string* error,
-                     FaultInjector* faults, FileSyncer* syncer) {
+bool WalWriter::Open(const std::string& path, const WalConfig& config,
+                     std::string* error, FaultInjector* faults,
+                     FileSyncer* syncer) {
   Close();
   poisoned_ = false;
   faults_ = faults;
@@ -91,8 +158,10 @@ bool WalWriter::Open(const std::string& path, std::string* error,
     return false;
   }
   const long size = std::ftell(file_);
+  const std::string header = EncodeWalHeader(config);
   if (size == 0) {
-    if (std::fwrite(kWalMagic, 1, kHeaderSize, file_) != kHeaderSize ||
+    if (std::fwrite(header.data(), 1, header.size(), file_) !=
+            header.size() ||
         !syncer_->Sync(file_)) {
       SetError(error, "cannot write WAL header: " + path);
       Close();
@@ -100,16 +169,16 @@ bool WalWriter::Open(const std::string& path, std::string* error,
     }
     return true;
   }
-  if (size < static_cast<long>(kHeaderSize)) {
+  if (size < static_cast<long>(kWalHeaderSize)) {
     SetError(error, "torn WAL header (recover first): " + path);
     Close();
     return false;
   }
-  char magic[kHeaderSize];
+  char existing[kWalHeaderSize];
   if (std::fseek(file_, 0, SEEK_SET) != 0 ||
-      std::fread(magic, 1, kHeaderSize, file_) != kHeaderSize ||
-      std::memcmp(magic, kWalMagic, kHeaderSize) != 0) {
-    SetError(error, "bad WAL magic/version: " + path);
+      std::fread(existing, 1, kWalHeaderSize, file_) != kWalHeaderSize ||
+      std::memcmp(existing, header.data(), kWalHeaderSize) != 0) {
+    SetError(error, "WAL header does not match this config: " + path);
     Close();
     return false;
   }
@@ -197,19 +266,32 @@ std::optional<WalReadResult> ReadWal(const std::string& path,
     return std::nullopt;
   }
   WalReadResult result;
-  char magic[kHeaderSize];
-  const std::size_t got = std::fread(magic, 1, kHeaderSize, file);
+  unsigned char header[kWalHeaderSize];
+  const std::size_t got = std::fread(header, 1, kWalHeaderSize, file);
+  const auto refuse = [&](const std::string& message) {
+    SetError(error, message);
+    std::fclose(file);
+    return std::nullopt;
+  };
   if (got == 0) {
     // Empty file: fresh WAL, nothing to replay.
     std::fclose(file);
     return result;
   }
-  if (std::memcmp(magic, kWalMagic, got) != 0) {
-    SetError(error, "bad WAL magic/version: " + path);
-    std::fclose(file);
-    return std::nullopt;
+  if (std::memcmp(header, kWalMagic, std::min(got, kMagicSize - 1)) != 0) {
+    return refuse("bad WAL magic: " + path);
   }
-  if (got < kHeaderSize) {
+  const auto want_version =
+      static_cast<unsigned char>(kWalMagic[kMagicSize - 1]);
+  if (got >= kMagicSize && header[kMagicSize - 1] != want_version) {
+    return refuse("unsupported WAL version " +
+                  std::to_string(header[kMagicSize - 1]) + ": " + path);
+  }
+  if (got >= kMagicSize + kFrameHeaderSize &&
+      GetU32(header + kMagicSize) != kConfigBodySize) {
+    return refuse("bad WAL config block size: " + path);
+  }
+  if (got < kWalHeaderSize) {
     // Crash during file creation: header itself is torn. valid_bytes = 0
     // tells recovery to truncate to empty; the writer recreates the
     // header.
@@ -217,7 +299,18 @@ std::optional<WalReadResult> ReadWal(const std::string& path,
     std::fclose(file);
     return result;
   }
-  result.valid_bytes = kHeaderSize;
+  const unsigned char* config_body = header + kMagicSize + kFrameHeaderSize;
+  if (Crc32(config_body, kConfigBodySize) !=
+      GetU32(header + kMagicSize + 4)) {
+    return refuse("bad WAL config block checksum: " + path);
+  }
+  WalConfig config;
+  std::string config_error;
+  if (!DecodeConfig(config_body, &config, &config_error)) {
+    return refuse(config_error + ": " + path);
+  }
+  result.config = config;
+  result.valid_bytes = kWalHeaderSize;
   for (;;) {
     unsigned char frame_header[kFrameHeaderSize];
     const std::size_t fh = std::fread(frame_header, 1, kFrameHeaderSize, file);
@@ -252,32 +345,24 @@ std::optional<WalReadResult> ReadWal(const std::string& path,
     if (type == WalRecordType::kDelta) {
       std::string why;
       if (!DecodeDelta(body, &record.delta, &why)) {
-        SetError(error, "checksummed WAL delta fails to decode: " + why);
-        std::fclose(file);
-        return std::nullopt;
+        return refuse("checksummed WAL delta fails to decode: " + why);
       }
     } else if (type == WalRecordType::kEpoch) {
       if (body.size() != kEpochBodySize) {
-        SetError(error, "bad WAL epoch record size");
-        std::fclose(file);
-        return std::nullopt;
+        return refuse("bad WAL epoch record size");
       }
       const auto* p = reinterpret_cast<const unsigned char*>(body.data());
       record.epoch.epoch = GetU64(p);
       const unsigned char mode = p[8];
       if (mode > static_cast<unsigned char>(EpochMode::kDegraded)) {
-        SetError(error, "bad WAL epoch mode byte");
-        std::fclose(file);
-        return std::nullopt;
+        return refuse("bad WAL epoch mode byte");
       }
       record.epoch.mode = static_cast<EpochMode>(mode);
       record.epoch.num_deltas = GetU32(p + 9);
       record.epoch.value_bits = GetU64(p + 13);
       record.epoch.state_crc = GetU32(p + 21);
     } else {
-      SetError(error, "unknown WAL record type");
-      std::fclose(file);
-      return std::nullopt;
+      return refuse("unknown WAL record type");
     }
     result.records.push_back(std::move(record));
     result.valid_bytes += kFrameHeaderSize + len;

@@ -1,12 +1,15 @@
 #ifndef MBTA_SERVICE_WAL_H_
 #define MBTA_SERVICE_WAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "market/objective.h"
+#include "market/types.h"
 #include "service/delta.h"
 
 namespace mbta {
@@ -15,7 +18,11 @@ class FaultInjector;
 
 /// Append-only, checksummed, length-prefixed delta log. On-disk layout:
 ///
-///   8-byte file header: "MBTAWAL" + version byte 0x01
+///   file header: "MBTAWAL" + version byte 0x02, then the config block
+///     (see WalConfig), framed like a record with a fixed 41-byte
+///     payload: u64 objective.alpha, u8 objective.kind, u64
+///     edge_model.skill_threshold, u64 edge_model.interest_weight, u64
+///     resolve_ratio, u64 epoch_max_work (doubles as IEEE-754 bits)
 ///   records, each framed as
 ///     u32 len   — payload length, little-endian, 1..kWalMaxRecordLen
 ///     u32 crc   — CRC-32 of the payload bytes
@@ -32,14 +39,37 @@ class FaultInjector;
 /// The reader is tail-tolerant by design: a crash mid-append leaves a
 /// torn frame, which is detected (short frame, implausible length, or
 /// checksum mismatch) and reported as a dropped tail rather than an
-/// error. Anything *before* the tail must be pristine — replay is only
-/// byte-deterministic over verified records.
+/// error; a file cut short inside its header reads as an empty log. The
+/// header itself, once complete, must be pristine, and so must anything
+/// before the tail — replay is only byte-deterministic over verified
+/// records.
 
-inline constexpr char kWalMagic[8] = {'M', 'B', 'T', 'A', 'W', 'A', 'L', 1};
+inline constexpr char kWalMagic[8] = {'M', 'B', 'T', 'A', 'W', 'A', 'L', 2};
+/// Magic + config frame header (u32 len, u32 crc) + config payload.
+inline constexpr std::size_t kWalHeaderSize = 8 + 8 + 41;
 /// Hard ceiling on one record's payload (a 4096-dim skill vector delta is
 /// ~33 KB; 1 MB leaves headroom without letting a hostile length field
 /// drive pre-allocation).
 inline constexpr std::uint32_t kWalMaxRecordLen = 1u << 20;
+
+/// The service settings an epoch's outcome depends on. The WAL header
+/// stores them, so a log replays under the config that wrote it and
+/// recovery refuses a service configured differently. ServiceConfig owns
+/// the defaults (see WalConfigOf in service/market_service.h).
+struct WalConfig {
+  ObjectiveParams objective;
+  EdgeModelParams edge_model;
+  double resolve_ratio = 0.0;
+  std::uint64_t epoch_max_work = 0;
+};
+
+/// Name of the first field where `a` and `b` differ ("objective.alpha",
+/// ...; doubles compare by bit pattern), or "" when they agree.
+std::string FirstWalConfigMismatch(const WalConfig& a, const WalConfig& b);
+
+/// The kWalHeaderSize-byte file header a WAL written under `config`
+/// starts with.
+std::string EncodeWalHeader(const WalConfig& config);
 
 enum class WalRecordType : std::uint8_t {
   kDelta = 1,
@@ -102,10 +132,12 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Opens (creating if absent) and validates/writes the file header.
-  /// The file position is left at the end for appending.
-  bool Open(const std::string& path, std::string* error = nullptr,
-            FaultInjector* faults = nullptr, FileSyncer* syncer = nullptr);
+  /// Opens (creating if absent) the WAL and writes its header for
+  /// `config`, or checks that an existing file's header matches it. The
+  /// file position is left at the end for appending.
+  bool Open(const std::string& path, const WalConfig& config,
+            std::string* error = nullptr, FaultInjector* faults = nullptr,
+            FileSyncer* syncer = nullptr);
 
   bool AppendDelta(const Delta& delta, std::string* error = nullptr);
   bool AppendEpoch(const EpochCommit& commit, std::string* error = nullptr);
@@ -126,6 +158,9 @@ class WalWriter {
 };
 
 struct WalReadResult {
+  /// The header's config; absent when the file is empty or was cut
+  /// short inside its header.
+  std::optional<WalConfig> config;
   std::vector<WalRecord> records;
   /// Byte offset of the end of the last verified record (>= header
   /// size). Recovery truncates the file here before reopening it for
@@ -137,9 +172,11 @@ struct WalReadResult {
 };
 
 /// Reads and verifies a WAL. Returns std::nullopt only for structural
-/// errors that truncation cannot explain: unreadable file, bad magic, or
-/// a verified-checksum record whose payload fails to decode (checksummed
-/// garbage means the file is not ours — refuse, don't guess).
+/// errors that truncation cannot explain: unreadable file, bad magic, an
+/// unsupported version, a complete config block that fails its checksum
+/// or holds an invalid value, or a verified-checksum record whose
+/// payload fails to decode (checksummed garbage means the file is not
+/// ours — refuse, don't guess).
 std::optional<WalReadResult> ReadWal(const std::string& path,
                                      std::string* error = nullptr);
 

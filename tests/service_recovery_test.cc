@@ -376,5 +376,46 @@ TEST(ServiceRecoveryTest, RepeatedCrashRecoverCyclesStayConsistent) {
   EXPECT_GT(crashes, 0) << "soak never exercised a crash";
 }
 
+TEST(ServiceRecoveryTest, RestartUnderADifferentConfigIsRefused) {
+  // The WAL header records the config the log was written under; a
+  // restart configured differently would replay into a diverged state,
+  // so it is refused with the first differing field named.
+  const std::vector<Op> ops = MakeOps(11, 30);
+  const std::string path = CleanPaths("recovery_config.wal");
+  ServiceConfig config = BaseConfig();
+  config.wal_path = path;
+  config.objective.alpha = 0.2;
+  std::string live;
+  {
+    MarketService service(config);
+    std::string error;
+    ASSERT_TRUE(service.Start(&error)) << error;
+    for (const Op& op : ops) {
+      if (op.run_epoch) {
+        ASSERT_TRUE(service.RunEpoch(&error)) << error;
+      } else {
+        service.Submit(op.delta);
+      }
+    }
+    live = SerializeServiceState(service.state());
+  }
+  ServiceConfig other_alpha = config;
+  other_alpha.objective.alpha = 0.5;
+  ServiceConfig other_budget = config;
+  other_budget.epoch_max_work = 1000;
+  for (const auto& [changed, field] :
+       {std::pair{other_alpha, "objective.alpha"},
+        std::pair{other_budget, "epoch_max_work"}}) {
+    MarketService service(changed);
+    std::string error;
+    EXPECT_FALSE(service.Start(&error)) << field;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+  MarketService same(config);
+  std::string error;
+  ASSERT_TRUE(same.Start(&error)) << error;
+  EXPECT_EQ(SerializeServiceState(same.state()), live);
+}
+
 }  // namespace
 }  // namespace mbta

@@ -1,7 +1,7 @@
 /// Tests for the Tracer: span nesting and depth bookkeeping, the flight
-/// recorder ring buffer, per-thread track registration, and
-/// a JsonValue round-trip of the emitted Chrome trace-event JSON (the
-/// contract mbta_trace, Perfetto, and chrome://tracing all consume).
+/// recorder ring buffer, and a JsonValue round-trip of the emitted Chrome
+/// trace-event JSON (the contract mbta_trace, Perfetto, and
+/// chrome://tracing all consume).
 
 #include "obs/trace.h"
 
@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/json_value.h"
@@ -148,7 +147,6 @@ TEST(Tracer, FlightRecordsSpanEndsWithDepth) {
   EXPECT_EQ(snapshot.events[0].depth, 1);
   EXPECT_EQ(snapshot.events[1].name, "outer");
   EXPECT_EQ(snapshot.events[1].depth, 0);
-  EXPECT_EQ(snapshot.events[0].track, "main");
 }
 
 TEST(Tracer, JsonCarriesChromeTraceFields) {
@@ -200,44 +198,6 @@ TEST(Tracer, JsonCarriesChromeTraceFields) {
   EXPECT_EQ(mbta->Find("tracks")->NumberOr(-1.0), 1.0);
   EXPECT_EQ(mbta->Find("events")->NumberOr(-1.0), 2.0);
   EXPECT_EQ(mbta->Find("dropped_events")->NumberOr(-1.0), 0.0);
-}
-
-TEST(Tracer, ThreadsRegisterSortedTracks) {
-  Tracer tracer;
-  {
-    // Registered in reverse; track ids still follow name order.
-    std::vector<std::thread> threads;
-    for (int t = 3; t >= 1; --t) {
-      threads.emplace_back([&tracer, t] {
-        tracer.RegisterThread("thread/worker_" + std::to_string(t));
-        ScopedSpan span(&tracer, "thread/work", "test");
-        span.Arg("worker", t);
-      });
-    }
-    for (std::thread& th : threads) th.join();
-  }
-
-  JsonValue doc;
-  ASSERT_TRUE(JsonValue::Parse(tracer.ToJson(), &doc));
-  const auto metadata = EventsWithPhase(doc, "M");
-  // process_name + main + 3 workers, tracks sorted by name.
-  ASSERT_EQ(metadata.size(), 5u);
-  std::vector<std::string> names;
-  for (std::size_t i = 1; i < metadata.size(); ++i) {
-    names.push_back(std::string(
-        metadata[i]->Find("args")->Find("name")->StringOr("")));
-  }
-  const std::vector<std::string> expected = {"main", "thread/worker_1",
-                                             "thread/worker_2",
-                                             "thread/worker_3"};
-  EXPECT_EQ(names, expected);
-
-  // Each worker's span landed on its own track.
-  const auto spans = EventsWithPhase(doc, "X");
-  ASSERT_EQ(spans.size(), 3u);
-  for (const JsonValue* span : spans) {
-    EXPECT_EQ(std::string(span->Find("name")->StringOr("")), "thread/work");
-  }
 }
 
 TEST(Tracer, WriteFileRoundTrips) {

@@ -2,10 +2,12 @@
 // ParseDelta): seeded random garbage, targeted frame attacks (huge /
 // zero lengths, checksummed-but-undecodable payloads), and re-sealed
 // snapshot bodies that reach the parser with poisoned counts and
-// non-finite numerics. The contract everywhere: never crash, never
-// over-allocate, fail with a message — mirroring market_io_fuzz_test.
+// non-finite numerics, and complete-but-hostile WAL config blocks. The
+// contract everywhere: never crash, never over-allocate, fail with a
+// message — mirroring market_io_fuzz_test.
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -36,7 +38,7 @@ std::string ReadFile(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-std::string WalHeader() { return std::string(kWalMagic, sizeof(kWalMagic)); }
+std::string WalHeader() { return EncodeWalHeader(WalConfig{}); }
 
 void PutU32(std::uint32_t v, std::string* out) {
   for (int i = 0; i < 4; ++i) {
@@ -58,7 +60,7 @@ std::string ValidWalBytes(const std::string& name) {
   const std::string path = TempPath(name);
   WalWriter writer;
   std::string error;
-  EXPECT_TRUE(writer.Open(path, &error)) << error;
+  EXPECT_TRUE(writer.Open(path, WalConfig{}, &error)) << error;
   for (std::uint64_t id = 1; id <= 4; ++id) {
     Delta d;
     d.kind = id % 2 == 1 ? DeltaKind::kAddWorker : DeltaKind::kAddTask;
@@ -138,7 +140,7 @@ TEST(WalFuzzTest, ImplausibleLengthFieldsAreATornTailNotAnAllocation) {
     ASSERT_TRUE(result.has_value()) << "len " << len;
     EXPECT_TRUE(result->tail_dropped) << "len " << len;
     EXPECT_TRUE(result->records.empty()) << "len " << len;
-    EXPECT_EQ(result->valid_bytes, sizeof(kWalMagic)) << "len " << len;
+    EXPECT_EQ(result->valid_bytes, kWalHeaderSize) << "len " << len;
   }
 }
 
@@ -186,6 +188,53 @@ TEST(WalFuzzTest, BadEpochModeByteIsAStructuralError) {
   std::string error;
   EXPECT_FALSE(ReadWal(path, &error).has_value());
   EXPECT_NE(error.find("mode"), std::string::npos) << error;
+}
+
+// --- config block ----------------------------------------------------------
+
+TEST(WalFuzzTest, CompleteButHostileHeadersAreStructuralErrors) {
+  // Each header is complete (the file does not end inside it), so it
+  // cannot be a crash artifact: the reader must refuse it, naming why.
+  const auto with = [](auto mutate) {
+    WalConfig config;
+    mutate(config);
+    return EncodeWalHeader(config);
+  };
+  const std::string magic(kWalMagic, sizeof(kWalMagic));
+  std::string bad_crc = WalHeader();
+  bad_crc.back() = static_cast<char>(bad_crc.back() ^ 0x01);
+  std::string version_1 = magic;
+  version_1.back() = 1;
+  std::string old_epoch;
+  old_epoch.push_back(static_cast<char>(WalRecordType::kEpoch));
+  old_epoch.append(8 + 1 + 4 + 8 + 4, '\0');
+  const struct {
+    std::string header;
+    std::string needle;
+  } cases[] = {
+      {with([](WalConfig& c) {
+         c.objective.alpha = std::numeric_limits<double>::quiet_NaN();
+       }),
+       "alpha"},
+      {with([](WalConfig& c) { c.objective.alpha = -0.25; }), "alpha"},
+      {with([](WalConfig& c) { c.objective.alpha = 1.5; }), "alpha"},
+      {with([](WalConfig& c) {
+         c.objective.kind = static_cast<ObjectiveKind>(7);
+       }),
+       "kind"},
+      // Sealed with a valid checksum, but shorter than the config body.
+      {magic + SealedFrame(WalHeader().substr(sizeof(kWalMagic) + 8, 20)),
+       "config block size"},
+      {bad_crc, "checksum"},
+      {version_1 + SealedFrame(old_epoch), "unsupported WAL version 1"},
+  };
+  const std::string path = TempPath("fuzz_config.wal");
+  for (const auto& [header, needle] : cases) {
+    WriteFile(path, header);
+    std::string error;
+    EXPECT_FALSE(ReadWal(path, &error).has_value()) << needle;
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
+  }
 }
 
 // --- snapshot side -------------------------------------------------------

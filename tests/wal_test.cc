@@ -49,7 +49,7 @@ TEST(WalTest, RoundTripsDeltaAndEpochRecords) {
   const std::string path = TempWal("wal_roundtrip.wal");
   WalWriter writer;
   std::string error;
-  ASSERT_TRUE(writer.Open(path, &error)) << error;
+  ASSERT_TRUE(writer.Open(path, WalConfig{}, &error)) << error;
   ASSERT_TRUE(writer.AppendDelta(MakeWorkerDelta(11), &error)) << error;
   ASSERT_TRUE(writer.AppendDelta(MakeTaskDelta(22), &error)) << error;
   EpochCommit commit;
@@ -79,13 +79,13 @@ TEST(WalTest, ReopenAppendsAfterExistingRecords) {
   std::string error;
   {
     WalWriter writer;
-    ASSERT_TRUE(writer.Open(path, &error)) << error;
+    ASSERT_TRUE(writer.Open(path, WalConfig{}, &error)) << error;
     ASSERT_TRUE(writer.AppendDelta(MakeWorkerDelta(1), &error)) << error;
     ASSERT_TRUE(writer.Sync(&error)) << error;
   }
   {
     WalWriter writer;
-    ASSERT_TRUE(writer.Open(path, &error)) << error;
+    ASSERT_TRUE(writer.Open(path, WalConfig{}, &error)) << error;
     ASSERT_TRUE(writer.AppendDelta(MakeWorkerDelta(2), &error)) << error;
     ASSERT_TRUE(writer.Sync(&error)) << error;
   }
@@ -127,7 +127,7 @@ TEST(WalTest, AppendFaultPointFiresBeforeWriting) {
   faults.Arm("service/wal/append", 1, 1);  // second append dies
   WalWriter writer;
   std::string error;
-  ASSERT_TRUE(writer.Open(path, &error, &faults)) << error;
+  ASSERT_TRUE(writer.Open(path, WalConfig{}, &error, &faults)) << error;
   ASSERT_TRUE(writer.AppendDelta(MakeWorkerDelta(1), &error)) << error;
   EXPECT_THROW(writer.AppendDelta(MakeWorkerDelta(2), &error),
                FaultInjectedError);
@@ -149,7 +149,7 @@ TEST(WalTest, FsyncFaultPointPoisonsTheWriter) {
   faults.Arm("service/wal/fsync");
   WalWriter writer;
   std::string error;
-  ASSERT_TRUE(writer.Open(path, &error, &faults)) << error;
+  ASSERT_TRUE(writer.Open(path, WalConfig{}, &error, &faults)) << error;
   ASSERT_TRUE(writer.AppendDelta(MakeWorkerDelta(1), &error)) << error;
   EXPECT_THROW(writer.Sync(&error), FaultInjectedError);
   EXPECT_FALSE(writer.ok());
@@ -161,7 +161,7 @@ TEST(WalTest, TornWriteLeavesARecoverablePrefix) {
   faults.Arm("service/wal/torn", 1, 1);  // second append tears
   WalWriter writer;
   std::string error;
-  ASSERT_TRUE(writer.Open(path, &error, &faults)) << error;
+  ASSERT_TRUE(writer.Open(path, WalConfig{}, &error, &faults)) << error;
   ASSERT_TRUE(writer.AppendDelta(MakeWorkerDelta(1), &error)) << error;
   EXPECT_THROW(writer.AppendDelta(MakeTaskDelta(2), &error),
                FaultInjectedError);
@@ -177,7 +177,7 @@ TEST(WalTest, TornWriteLeavesARecoverablePrefix) {
   // continue from the amputation point.
   ASSERT_TRUE(TruncateWal(path, result->valid_bytes, &error)) << error;
   WalWriter writer2;
-  ASSERT_TRUE(writer2.Open(path, &error)) << error;
+  ASSERT_TRUE(writer2.Open(path, WalConfig{}, &error)) << error;
   ASSERT_TRUE(writer2.AppendDelta(MakeTaskDelta(2), &error)) << error;
   ASSERT_TRUE(writer2.Sync(&error)) << error;
   writer2.Close();
@@ -196,7 +196,7 @@ TEST(WalTest, TruncationAtEveryByteYieldsAVerifiedPrefix) {
   std::string error;
   {
     WalWriter writer;
-    ASSERT_TRUE(writer.Open(path, &error)) << error;
+    ASSERT_TRUE(writer.Open(path, WalConfig{}, &error)) << error;
     ASSERT_TRUE(writer.AppendDelta(MakeWorkerDelta(1), &error)) << error;
     ASSERT_TRUE(writer.AppendDelta(MakeTaskDelta(2), &error)) << error;
     EpochCommit commit;
@@ -250,7 +250,7 @@ TEST(WalTest, BitFlipInvalidatesOnlyTheFlippedSuffix) {
   std::string error;
   {
     WalWriter writer;
-    ASSERT_TRUE(writer.Open(path, &error)) << error;
+    ASSERT_TRUE(writer.Open(path, WalConfig{}, &error)) << error;
     ASSERT_TRUE(writer.AppendDelta(MakeWorkerDelta(1), &error)) << error;
     ASSERT_TRUE(writer.AppendDelta(MakeTaskDelta(2), &error)) << error;
     ASSERT_TRUE(writer.Sync(&error)) << error;

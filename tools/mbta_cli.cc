@@ -24,6 +24,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ranges>
 #include <span>
 #include <stdexcept>
@@ -506,8 +507,18 @@ int Serve(const Args& args) {
 int Replay(const Args& args) {
   std::string wal_path;
   if (!args.Require("wal", &wal_path)) return kExitUsage;
-  MarketService service(MakeServiceConfig(args));
+  // Replay runs under the config the log was written with. A log cut
+  // short inside its header holds no records, so the defaults serve.
   std::string error;
+  const std::optional<WalReadResult> wal = ReadWal(wal_path, &error);
+  if (!wal) {
+    std::fprintf(stderr, "error: recovery failed: %s\n", error.c_str());
+    return kExitBadInput;
+  }
+  ServiceConfig config;
+  config.wal_path = wal_path;
+  if (wal->config) ApplyWalConfig(*wal->config, &config);
+  MarketService service(config);
   if (!service.Start(&error)) {
     std::fprintf(stderr, "error: recovery failed: %s\n", error.c_str());
     return kExitBadInput;
@@ -558,11 +569,7 @@ constexpr Command kCommands[] = {
      "           [--degrade-after-ms MS] [--alpha 0.5]\n"
      "           [--objective submodular|modular] [--out FILE]\n"
      "           [--trace FILE] [--stats]"},
-    {"replay", Replay,
-     "--wal FILE [--dump-state] [--stats] [--epoch-batch N]\n"
-     "           [--queue N] [--snapshot-every N] [--resolve-ratio R]\n"
-     "           [--work-budget N] [--degrade-after-ms MS] [--alpha 0.5]\n"
-     "           [--objective submodular|modular]"},
+    {"replay", Replay, "--wal FILE [--dump-state] [--stats]"},
 };
 
 /// True iff `flags` (a Command::flags text) lists `--flag`.
@@ -602,8 +609,8 @@ int Usage() {
       "(open in Perfetto or chrome://tracing, analyze with mbta_trace)\n"
       "serve drives a resident MarketService from a delta script (one\n"
       "delta per line, literal `epoch` lines run an epoch); with --wal\n"
-      "the service is durable and `replay` recovers it from disk (pass\n"
-      "replay the service flags serve ran with)\n"
+      "the service is durable and `replay` recovers it from disk (under\n"
+      "the config serve ran with, which the WAL records)\n"
       "exit codes: 0 ok, 1 usage, 2 bad input, 3 degraded solve, "
       "4 internal\n",
       commands.c_str(), solvers.c_str());
