@@ -168,7 +168,7 @@ if require_sanitizer thread; then
                  cancellation_test \
                  wal_test snapshot_test market_service_test \
                  service_recovery_test wal_fuzz_test \
-                 service_differential_test
+                 service_differential_test eligibility_cache_test
   build-tsan/tests/obs_test
   build-tsan/tests/json_writer_test
   build-tsan/tests/histogram_test

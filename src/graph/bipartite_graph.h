@@ -69,6 +69,12 @@ class BipartiteGraph {
 class BipartiteGraphBuilder {
  public:
   BipartiteGraphBuilder(std::size_t num_left, std::size_t num_right);
+  /// Starts from whole endpoint columns: edge e joins lefts[e] and
+  /// rights[e]. Range-checked like AddEdge; Build() moves the columns
+  /// into the graph instead of copying them.
+  BipartiteGraphBuilder(std::size_t num_left, std::size_t num_right,
+                        std::vector<VertexId> lefts,
+                        std::vector<VertexId> rights);
 
   /// Adds an edge and returns its id (insertion-ordered, dense).
   EdgeId AddEdge(VertexId left, VertexId right);

@@ -204,6 +204,7 @@ std::optional<LaborMarket> ReadMarket(std::istream& in, std::string* error,
   // input and parsing fails fast on the first missing line anyway.
   seen_pairs.reserve(
       std::min<std::size_t>(num_edges, 1u << 20) * 2);
+  builder.ReserveEdges(std::min<std::size_t>(num_edges, 1u << 20));
   for (std::size_t i = 0; i < num_edges; ++i) {
     MaybeFail(faults, "io/read");
     if (!NextLine(in, &line)) {

@@ -1,5 +1,7 @@
 #include "market/labor_market.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace mbta {
@@ -29,7 +31,18 @@ void LaborMarketBuilder::AddEdge(WorkerId w, TaskId t, EdgeAttributes attr) {
   MBTA_CHECK(t < tasks_.size());
   MBTA_CHECK(attr.quality >= 0.0 && attr.quality <= 1.0);
   MBTA_CHECK(attr.worker_benefit >= 0.0);
-  edges_.push_back({w, t, attr});
+  edge_worker_.push_back(w);
+  edge_task_.push_back(t);
+  quality_.push_back(attr.quality);
+  worker_benefit_.push_back(attr.worker_benefit);
+}
+
+void LaborMarketBuilder::ReserveEdges(std::size_t n) {
+  const std::size_t total = edge_worker_.size() + n;
+  edge_worker_.reserve(total);
+  edge_task_.reserve(total);
+  quality_.reserve(total);
+  worker_benefit_.reserve(total);
 }
 
 void LaborMarketBuilder::ConnectEligiblePairs(const EdgeModelParams& params) {
@@ -48,18 +61,16 @@ LaborMarket LaborMarketBuilder::Build() {
   market.tasks_ = std::move(tasks_);
   market.name_ = std::move(name_);
 
-  BipartiteGraphBuilder gb(market.workers_.size(), market.tasks_.size());
-  market.quality_.reserve(edges_.size());
-  market.worker_benefit_.reserve(edges_.size());
-  market.task_value_.reserve(edges_.size());
-  for (const PendingEdge& e : edges_) {
-    gb.AddEdge(e.worker, e.task);
-    market.quality_.push_back(e.attr.quality);
-    market.worker_benefit_.push_back(e.attr.worker_benefit);
-    market.task_value_.push_back(market.tasks_[e.task].value);
+  market.task_value_.reserve(edge_task_.size());
+  for (TaskId t : edge_task_) {
+    market.task_value_.push_back(market.tasks_[t].value);
   }
-  market.graph_ = gb.Build();
-  edges_.clear();
+  market.quality_ = std::move(quality_);
+  market.worker_benefit_ = std::move(worker_benefit_);
+  market.graph_ =
+      BipartiteGraphBuilder(market.workers_.size(), market.tasks_.size(),
+                            std::move(edge_worker_), std::move(edge_task_))
+          .Build();
   return market;
 }
 

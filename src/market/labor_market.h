@@ -90,6 +90,9 @@ class LaborMarketBuilder {
 
   /// Adds an explicit eligibility edge with precomputed attributes.
   void AddEdge(WorkerId w, TaskId t, EdgeAttributes attr);
+  /// Makes room for `n` more edges, so a caller that knows its edge count
+  /// stages the columns without regrowing them.
+  void ReserveEdges(std::size_t n);
 
   /// Scans all worker/task pairs and adds an edge for every eligible one
   /// (O(|W|·|T|) — used by generators, which keep sides in the 10^3..10^4
@@ -107,12 +110,11 @@ class LaborMarketBuilder {
  private:
   std::vector<Worker> workers_;
   std::vector<Task> tasks_;
-  struct PendingEdge {
-    WorkerId worker;
-    TaskId task;
-    EdgeAttributes attr;
-  };
-  std::vector<PendingEdge> edges_;
+  // Edges staged column-wise; Build() moves the columns into the market.
+  std::vector<WorkerId> edge_worker_;
+  std::vector<TaskId> edge_task_;
+  std::vector<double> quality_;
+  std::vector<double> worker_benefit_;
   std::string name_ = "unnamed";
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
+#include <optional>
 #include <vector>
 
 #include "core/greedy_solver.h"
@@ -16,15 +16,6 @@ namespace {
 
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
-}
-
-/// Dense edge id of pair (w, t), or kInvalidEdge when the pair is not an
-/// eligible edge of this rebuild.
-EdgeId FindEdge(const LaborMarket& market, WorkerId w, TaskId t) {
-  for (const Incidence& inc : market.WorkerEdges(w)) {
-    if (market.EdgeTask(inc.edge) == t) return inc.edge;
-  }
-  return kInvalidEdge;
 }
 
 }  // namespace
@@ -46,7 +37,7 @@ void ApplyWalConfig(const WalConfig& wal, ServiceConfig* config) {
 }
 
 MarketService::MarketService(ServiceConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), cache_(config_.edge_model) {
   durable_ = !config_.wal_path.empty();
   if (durable_ && config_.snapshot_path.empty()) {
     config_.snapshot_path = config_.wal_path + ".snap";
@@ -100,6 +91,7 @@ bool MarketService::RecoverFromDisk(std::string* error) {
 
   // 2. Seed state from the snapshot when one exists.
   state_ = ServiceState{};
+  cache_ = EligibilityCache(config_.edge_model);
   std::optional<ServiceState> snap = ReadSnapshot(config_.snapshot_path, &why);
   if (snap.has_value()) {
     state_ = std::move(*snap);
@@ -241,7 +233,7 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
           break;
       }
       std::string why;
-      if (!ApplyDelta(state_, delta, &why)) {
+      if (!cache_.Apply(state_, delta, &why)) {
         // Stale delta (e.g. a capacity change racing a departure that
         // was admitted earlier in this very batch). Skipping is
         // deterministic — replay applies the identical rule.
@@ -257,21 +249,13 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
     }
   }
 
-  // --- 2. Rebuild the dense market ----------------------------------------
+  // --- 2. Assemble the dense market from the resident cache -------------
   LaborMarket market;
   {
     ScopedPhase phase(&stats_.phases, "rebuild");
-    market = BuildMarket(state_, config_.edge_model);
+    market = cache_.Assemble(state_);
   }
   const MutualBenefitObjective objective(&market, config_.objective);
-  std::map<std::uint64_t, WorkerId> worker_index;
-  std::map<std::uint64_t, TaskId> task_index;
-  for (std::size_t i = 0; i < state_.workers.size(); ++i) {
-    worker_index.emplace(state_.workers[i].id, static_cast<WorkerId>(i));
-  }
-  for (std::size_t i = 0; i < state_.tasks.size(); ++i) {
-    task_index.emplace(state_.tasks[i].id, static_cast<TaskId>(i));
-  }
 
   // --- 3. Re-anchor the carried assignment and repair ---------------------
   ObjectiveState solution(&objective);
@@ -283,10 +267,10 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
     // longer eligible) or no longer fits a tightened capacity. Dropped
     // endpoints join the candidate seed so their slack is refilled.
     for (const StablePair& p : state_.pairs) {
-      const auto wit = worker_index.find(p.worker);
-      const auto tit = task_index.find(p.task);
-      MBTA_CHECK(wit != worker_index.end() && tit != task_index.end());
-      const EdgeId e = FindEdge(market, wit->second, tit->second);
+      const std::optional<WorkerId> w = cache_.DenseWorker(p.worker);
+      const std::optional<TaskId> t = cache_.DenseTask(p.task);
+      MBTA_CHECK(w.has_value() && t.has_value());
+      const EdgeId e = market.graph().FindEdge(*w, *t);
       if (e != kInvalidEdge && solution.CanAdd(e)) {
         solution.Add(e);
       } else {
@@ -307,16 +291,16 @@ void MarketService::ExecuteEpoch(EpochMode mode, std::uint32_t num_deltas) {
         std::unique(touched_task_ids.begin(), touched_task_ids.end()),
         touched_task_ids.end());
     for (std::uint64_t id : touched_worker_ids) {
-      const auto it = worker_index.find(id);
-      if (it == worker_index.end()) continue;  // departed this batch
-      for (const Incidence& inc : market.WorkerEdges(it->second)) {
+      const std::optional<WorkerId> w = cache_.DenseWorker(id);
+      if (!w.has_value()) continue;  // departed this batch
+      for (const Incidence& inc : market.WorkerEdges(*w)) {
         candidates.push_back(inc.edge);
       }
     }
     for (std::uint64_t id : touched_task_ids) {
-      const auto it = task_index.find(id);
-      if (it == task_index.end()) continue;
-      for (const Incidence& inc : market.TaskEdges(it->second)) {
+      const std::optional<TaskId> t = cache_.DenseTask(id);
+      if (!t.has_value()) continue;
+      for (const Incidence& inc : market.TaskEdges(*t)) {
         candidates.push_back(inc.edge);
       }
     }

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/problem.h"
+#include "service/eligibility_cache.h"
 #include "service/snapshot.h"
 #include "service/state.h"
 #include "service/wal.h"
@@ -25,7 +26,7 @@ struct ServiceConfig {
   /// Snapshot path; defaults to wal_path + ".snap" when durable.
   std::string snapshot_path;
 
-  /// Edge model connecting eligible worker/task pairs on each rebuild.
+  /// Edge model connecting eligible worker/task pairs.
   EdgeModelParams edge_model;
   ObjectiveParams objective;
 
@@ -115,11 +116,12 @@ class MarketService {
   /// take effect at the next RunEpoch.
   SubmitResult Submit(const Delta& delta, std::string* error = nullptr);
 
-  /// Runs one epoch: consume up to epoch_batch pending deltas, rebuild
-  /// the market, carry the previous assignment over (re-anchored by
-  /// stable ids), repair locally, optionally escape-hatch to a full
-  /// re-solve, validate, commit to the WAL, maybe snapshot. Returns
-  /// false on failure (service failed / validation error).
+  /// Runs one epoch: consume up to epoch_batch pending deltas, assemble
+  /// the market from the resident eligibility cache, carry the previous
+  /// assignment over (re-anchored by stable ids), repair locally,
+  /// optionally escape-hatch to a full re-solve, validate, commit to the
+  /// WAL, maybe snapshot. Returns false on failure (service failed /
+  /// validation error).
   bool RunEpoch(std::string* error = nullptr);
 
   bool started() const { return started_; }
@@ -152,6 +154,9 @@ class MarketService {
   bool failed_ = false;
 
   ServiceState state_;
+  /// The eligible pairs of state_, kept in step by every applied delta
+  /// and laid out as the epoch's market (built on the first epoch).
+  EligibilityCache cache_;
   WalWriter wal_;
   double last_value_ = 0.0;
   EpochMode last_mode_ = EpochMode::kNormal;

@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <istream>
 #include <sstream>
+#include <vector>
 
 #include "util/crc32.h"
 
@@ -69,6 +70,24 @@ bool ExpectScalar(std::istream& in, const std::string& keyword,
   std::string word;
   if (!(ls >> word >> *value) || word != keyword || (ls >> word)) {
     Fail(error, "expected '" + keyword + " <value>', got: " + line);
+    return false;
+  }
+  return true;
+}
+
+/// Fills `ids` with the stable ids of `entities`, sorted, and fails on a
+/// repeated one: one O(n log n) check, after which pair endpoints resolve
+/// by binary search.
+template <typename Entity>
+bool SortedUniqueIds(const std::vector<Entity>& entities, const char* kind,
+                     std::vector<std::uint64_t>* ids, std::string* error) {
+  ids->reserve(entities.size());
+  for (const Entity& e : entities) ids->push_back(e.id);
+  std::sort(ids->begin(), ids->end());
+  const auto dup = std::adjacent_find(ids->begin(), ids->end());
+  if (dup != ids->end()) {
+    Fail(error, std::string("duplicate ") + kind +
+                    " id: " + std::to_string(*dup));
     return false;
   }
   return true;
@@ -249,11 +268,11 @@ std::optional<ServiceState> ParseServiceState(std::istream& in,
       Fail(error, "bad worker line: " + line);
       return std::nullopt;
     }
-    if (state.WorkerIndex(d->id) != ServiceState::npos) {
-      Fail(error, "duplicate worker id: " + std::to_string(d->id));
-      return std::nullopt;
-    }
     state.workers.push_back(StableWorker{d->id, d->worker});
+  }
+  std::vector<std::uint64_t> worker_ids;
+  if (!SortedUniqueIds(state.workers, "worker", &worker_ids, error)) {
+    return std::nullopt;
   }
 
   long long num_tasks = 0;
@@ -274,11 +293,11 @@ std::optional<ServiceState> ParseServiceState(std::istream& in,
       Fail(error, "bad task line: " + line);
       return std::nullopt;
     }
-    if (state.TaskIndex(d->id) != ServiceState::npos) {
-      Fail(error, "duplicate task id: " + std::to_string(d->id));
-      return std::nullopt;
-    }
     state.tasks.push_back(StableTask{d->id, d->task});
+  }
+  std::vector<std::uint64_t> task_ids;
+  if (!SortedUniqueIds(state.tasks, "task", &task_ids, error)) {
+    return std::nullopt;
   }
 
   long long num_pairs = 0;
@@ -298,8 +317,8 @@ std::optional<ServiceState> ParseServiceState(std::istream& in,
       Fail(error, "bad pair line: " + line);
       return std::nullopt;
     }
-    if (state.WorkerIndex(p.worker) == ServiceState::npos ||
-        state.TaskIndex(p.task) == ServiceState::npos) {
+    if (!std::binary_search(worker_ids.begin(), worker_ids.end(), p.worker) ||
+        !std::binary_search(task_ids.begin(), task_ids.end(), p.task)) {
       Fail(error, "pair references unknown entity: " + line);
       return std::nullopt;
     }

@@ -64,9 +64,9 @@ struct ServiceState {
   /// MarketService escape hatch); 0 before the first epoch.
   std::uint64_t reference_bits = 0;
 
-  /// Index of the entity with stable id `id`, or npos. Linear scan —
-  /// service markets are rebuilt per epoch anyway, so lookups are not on
-  /// the hot path.
+  /// Index of the entity with stable id `id`, or npos. Linear scan, one
+  /// per applied delta; an epoch's id lookups go through
+  /// EligibilityCache's sorted index instead.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t WorkerIndex(std::uint64_t id) const;
   std::size_t TaskIndex(std::uint64_t id) const;
@@ -80,10 +80,12 @@ struct ServiceState {
 bool ApplyDelta(ServiceState& state, const Delta& delta,
                 std::string* error = nullptr);
 
-/// Rebuilds the dense LaborMarket for the current entity lists: worker i
-/// of the market is state.workers[i], edges are derived from
-/// `edge_model` via ConnectEligiblePairs. Deterministic in the entity
-/// order, which Serialize pins.
+/// Builds the dense LaborMarket for the current entity lists from
+/// scratch: worker i of the market is state.workers[i], edges are derived
+/// from `edge_model` via ConnectEligiblePairs (an O(W·T) scan).
+/// Deterministic in the entity order, which Serialize pins. Epochs
+/// assemble the same market from EligibilityCache instead; this is its
+/// test oracle and what `mbta_cli serve --out` solves on.
 LaborMarket BuildMarket(const ServiceState& state,
                         const EdgeModelParams& edge_model);
 

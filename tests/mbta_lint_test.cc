@@ -390,7 +390,6 @@ TEST(R5Names, ConformingSpansAreFine) {
       "  ScopedSpan span(t, \"solve/parallel/batch\", \"solver\");\n"
       "  span.Arg(\"edges\", 12);\n"
       "  t->Instant(\"fallback/retry\", \"fallback\");\n"
-      "  t->RegisterThread(\"pool/worker_3\");\n"
       "}\n")));
 }
 

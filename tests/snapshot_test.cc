@@ -139,6 +139,29 @@ TEST(SnapshotTest, DanglingPairIsRejected) {
   EXPECT_NE(error.find("unknown entity"), std::string::npos) << error;
 }
 
+TEST(SnapshotTest, DuplicateWorkerIdIsRejected) {
+  const std::string path = TempSnap("snapshot_dup_worker.snap");
+  ServiceState state = MakeState();
+  state.workers.push_back(state.workers.front());  // id 10 twice
+  std::string error;
+  ASSERT_TRUE(WriteSnapshot(state, path, &error)) << error;
+  EXPECT_FALSE(ReadSnapshot(path, &error).has_value());
+  EXPECT_NE(error.find("duplicate worker id: 10"), std::string::npos)
+      << error;
+}
+
+TEST(SnapshotTest, DuplicateTaskIdIsRejected) {
+  const std::string path = TempSnap("snapshot_dup_task.snap");
+  ServiceState state = MakeState();
+  StableTask again = state.tasks.front();  // id 5, after another task
+  state.tasks.push_back(StableTask{7, again.task});
+  state.tasks.push_back(again);
+  std::string error;
+  ASSERT_TRUE(WriteSnapshot(state, path, &error)) << error;
+  EXPECT_FALSE(ReadSnapshot(path, &error).has_value());
+  EXPECT_NE(error.find("duplicate task id: 5"), std::string::npos) << error;
+}
+
 TEST(SnapshotTest, SerializeParseRoundTripsPendingDeltas) {
   const ServiceState state = MakeState();
   std::istringstream in(SerializeServiceState(state));

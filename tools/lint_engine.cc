@@ -245,8 +245,7 @@ class Linter {
     // identifiers, not prose.
     static const std::set<std::string> kKeyApis = {
         "Add", "Set", "SetGauge", "Value", "Gauge", "Has",
-        "Record", "TotalMs", "BeginSpan", "Instant", "RegisterThread",
-        "Arg"};
+        "Record", "TotalMs", "BeginSpan", "Instant", "Arg"};
     // FaultInjector APIs take the fault-point name as their first string
     // argument; MaybeFail is a free function, the rest are members.
     static const std::set<std::string> kFaultApis = {

@@ -43,7 +43,7 @@ struct Violation {
 ///       labels are single segments (nesting builds the path). Fault-point
 ///       names passed to FaultInjector APIs / MaybeFail follow the same
 ///       slash-path grammar, as do trace span/instant names (ScopedSpan,
-///       Tracer::BeginSpan/Instant/RegisterThread) and span-arg keys
+///       Tracer::BeginSpan/Instant) and span-arg keys
 ///       (ScopedSpan::Arg) — traces are diffed by name, so names are
 ///       stable identifiers, not prose. Waiver: name-ok.
 ///   R6  every .h under src/ carries an include guard (or #pragma once)
