@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Full correctness matrix: the tier-1 suite under the plain build, then
 # under ASan and UBSan instrumentation (-DMBTA_SANITIZE presets), then
-# the obs tests AND the robustness + service suites (deadline /
-# fault-injection / fallback / cancellation plus WAL / snapshot / crash
-# recovery, `ctest -L 'robustness|service'`) under TSan
-# (-DMBTA_SANITIZE=thread). The TSan leg is what exercises cancellation
+# the robustness + service suites (deadline / fault-injection / fallback
+# / cancellation plus WAL / snapshot / crash recovery, `ctest -L
+# 'robustness|service'`) under TSan (-DMBTA_SANITIZE=thread). The TSan leg is what exercises cancellation
 # from a second thread: the watchdog shares only the atomic cancel flag
 # with the solve. A CLI smoke step checks the mbta_cli exit-code taxonomy (0 ok /
 # 1 usage / 2 bad input / 3 degraded) end-to-end against the plain build,
@@ -151,28 +150,22 @@ if require_sanitizer undefined; then
   run_suite build-ubsan undefined ""
 fi
 
-# TSan leg: the obs tests plus the robustness suite. The cancellation
-# tests set the atomic cancel flag from a watchdog thread while the
-# solver thread runs — TSan then proves the whole budget/cancel/fallback
-# path race-free. Building targets directly keeps
-# this leg minutes-cheap; `ctest -L robustness` only matches tests whose
-# binaries were built (unbuilt targets surface as unlabeled NOT_BUILT
-# placeholders and are skipped by the label filter).
+# TSan leg: the robustness suite. The cancellation tests set the atomic
+# cancel flag from a watchdog thread while the solver thread runs — TSan
+# then proves the whole budget/cancel/fallback path race-free; no other
+# test starts a thread. Building targets directly keeps this leg
+# minutes-cheap; `ctest -L robustness` only matches tests whose binaries
+# were built (unbuilt targets surface as unlabeled NOT_BUILT placeholders
+# and are skipped by the label filter).
 if require_sanitizer thread; then
   echo "=== build-tsan (MBTA_SANITIZE='thread') ==="
   cmake -B build-tsan -S . -DMBTA_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" \
-        --target obs_test json_writer_test \
-                 histogram_test trace_test \
-                 deadline_test fault_injection_test fallback_solver_test \
+        --target deadline_test fault_injection_test fallback_solver_test \
                  cancellation_test \
                  wal_test snapshot_test market_service_test \
                  service_recovery_test wal_fuzz_test \
                  service_differential_test eligibility_cache_test
-  build-tsan/tests/obs_test
-  build-tsan/tests/json_writer_test
-  build-tsan/tests/histogram_test
-  build-tsan/tests/trace_test
   # The service suite rides along: single-threaded, but instrumented, so
   # a thread the WAL / snapshot / crash-recovery paths ever started
   # would have its races reported here.

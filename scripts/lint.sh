@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Static-analysis entry point: runs the full mbta_lint pass stack — the
-# per-file rules R1–R9 plus the whole-program determinism-taint, lock-
-# discipline, and call-graph passes, gated against the committed waiver
-# ledger (see CONTRIBUTING.md "Static analysis") — and clang-tidy over
-# the library .cc files when it is installed (compile_commands.json is
-# exported by the top-level CMakeLists). When clang-tidy is present it
+# per-file rules R1–R9 plus the whole-program determinism-taint and
+# call-graph passes, gated against the committed waiver ledger (see
+# CONTRIBUTING.md "Static analysis") — and clang-tidy over the library
+# .cc files when it is installed (compile_commands.json is exported by
+# the top-level CMakeLists). When clang-tidy is present it
 # is mandatory: any diagnostic fails the script, same as in CI.
 #
 # Usage: scripts/lint.sh [build-dir] [jobs]

@@ -1,6 +1,5 @@
 #include "core/repair.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "util/check.h"
@@ -38,76 +37,6 @@ void RefillBanned(ObjectiveState& state, const std::vector<EdgeId>& candidates,
     state.Add(best_edge);
     if (stats != nullptr) ++stats->edges_added;
   }
-}
-
-/// Re-seeds `state` with every edge of `current` not incident to the
-/// given worker/task and returns the entity's own former edges.
-std::vector<EdgeId> SeedWithout(ObjectiveState& state,
-                                const Assignment& current, WorkerId skip_w,
-                                TaskId skip_t) {
-  const LaborMarket& market = state.objective().market();
-  std::vector<EdgeId> skipped;
-  for (EdgeId e : current.edges) {
-    if (market.EdgeWorker(e) == skip_w || market.EdgeTask(e) == skip_t) {
-      skipped.push_back(e);
-    } else {
-      state.Add(e);
-    }
-  }
-  return skipped;
-}
-
-/// Incident edges of every task in `tasks` / worker in `workers`,
-/// deduplicated and sorted so refill scan order is deterministic.
-std::vector<EdgeId> IncidentCandidates(const LaborMarket& market,
-                                       const std::vector<WorkerId>& workers,
-                                       const std::vector<TaskId>& tasks) {
-  std::vector<EdgeId> candidates;
-  for (WorkerId w : workers) {
-    for (const Incidence& inc : market.WorkerEdges(w)) {
-      candidates.push_back(inc.edge);
-    }
-  }
-  for (TaskId t : tasks) {
-    for (const Incidence& inc : market.TaskEdges(t)) {
-      candidates.push_back(inc.edge);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  return candidates;
-}
-
-/// Shared body of the two patch paths: keep everything not incident to
-/// the patched entity, re-add the entity's former edges best-first while
-/// feasible (sheds overflow from a capacity cut), then refill around the
-/// entity and every task/worker that lost a pair.
-Assignment PatchAndRepair(const MutualBenefitObjective& objective,
-                          const Assignment& current, WorkerId patch_w,
-                          TaskId patch_t, RepairStats* stats) {
-  const LaborMarket& market = objective.market();
-  ObjectiveState state(&objective);
-  const std::vector<EdgeId> former =
-      SeedWithout(state, current, patch_w, patch_t);
-  // Re-add the entity's previous edges greedily (best marginal first):
-  // under a tightened capacity only the most valuable survive.
-  RefillBanned(state, former, kNoWorkerBan, kNoTaskBan, stats, nullptr);
-  std::vector<WorkerId> touched_workers;
-  std::vector<TaskId> touched_tasks;
-  if (patch_w != kNoWorkerBan) touched_workers.push_back(patch_w);
-  if (patch_t != kNoTaskBan) touched_tasks.push_back(patch_t);
-  for (EdgeId e : former) {
-    if (state.Contains(e)) continue;
-    if (stats != nullptr) ++stats->edges_dropped;
-    // The peer endpoint regained capacity; let it pick a replacement.
-    touched_workers.push_back(market.EdgeWorker(e));
-    touched_tasks.push_back(market.EdgeTask(e));
-  }
-  RefillBanned(state,
-               IncidentCandidates(market, touched_workers, touched_tasks),
-               kNoWorkerBan, kNoTaskBan, stats, nullptr);
-  return state.ToAssignment();
 }
 
 }  // namespace
@@ -168,50 +97,6 @@ Assignment RemoveTaskAndRepair(const MutualBenefitObjective& objective,
   RefillBanned(state, candidates, kNoWorkerBan, /*banned_task=*/t, stats,
                nullptr);
   return state.ToAssignment();
-}
-
-Assignment AddWorkerAndRepair(const MutualBenefitObjective& objective,
-                              const Assignment& current, WorkerId w,
-                              RepairStats* stats) {
-  const LaborMarket& market = objective.market();
-  MBTA_CHECK(w < market.NumWorkers());
-  ObjectiveState state(&objective);
-  for (EdgeId e : current.edges) {
-    MBTA_CHECK(market.EdgeWorker(e) != w);
-    state.Add(e);
-  }
-  RefillBanned(state, IncidentCandidates(market, {w}, {}), kNoWorkerBan,
-               kNoTaskBan, stats, nullptr);
-  return state.ToAssignment();
-}
-
-Assignment AddTaskAndRepair(const MutualBenefitObjective& objective,
-                            const Assignment& current, TaskId t,
-                            RepairStats* stats) {
-  const LaborMarket& market = objective.market();
-  MBTA_CHECK(t < market.NumTasks());
-  ObjectiveState state(&objective);
-  for (EdgeId e : current.edges) {
-    MBTA_CHECK(market.EdgeTask(e) != t);
-    state.Add(e);
-  }
-  RefillBanned(state, IncidentCandidates(market, {}, {t}), kNoWorkerBan,
-               kNoTaskBan, stats, nullptr);
-  return state.ToAssignment();
-}
-
-Assignment PatchWorkerAndRepair(const MutualBenefitObjective& objective,
-                                const Assignment& current, WorkerId w,
-                                RepairStats* stats) {
-  MBTA_CHECK(w < objective.market().NumWorkers());
-  return PatchAndRepair(objective, current, w, kNoTaskBan, stats);
-}
-
-Assignment PatchTaskAndRepair(const MutualBenefitObjective& objective,
-                              const Assignment& current, TaskId t,
-                              RepairStats* stats) {
-  MBTA_CHECK(t < objective.market().NumTasks());
-  return PatchAndRepair(objective, current, kNoWorkerBan, t, stats);
 }
 
 }  // namespace mbta

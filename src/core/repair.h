@@ -12,11 +12,12 @@ namespace mbta {
 /// Incremental repair for dynamic markets: instead of re-solving from
 /// scratch when the market changes slightly, patch the existing
 /// assignment locally. All functions return a feasible (validator-clean)
-/// assignment and never touch pairs unaffected by the change. They are
-/// the building blocks of the resident MarketService (src/service), which
-/// chains them per delta inside an epoch and escalates to a full re-solve
-/// when repair quality degrades (see CONTRIBUTING.md, "Serving &
-/// durability").
+/// assignment. The resident MarketService (src/service) calls only
+/// GreedyRefill: each epoch it re-anchors the carried pairs, then refills
+/// from the sorted, deduplicated incident edges of every entity a delta
+/// or a dropped pair touched, and escalates to a full re-solve when repair
+/// quality degrades (see CONTRIBUTING.md, "Serving & durability"). The
+/// two removal functions repair a single departure on a fixed market.
 
 /// Work accounting for one repair call, in the same units the greedy
 /// family reports (marginal-gain evaluations). Aggregated by the service
@@ -49,39 +50,6 @@ Assignment RemoveWorkerAndRepair(const MutualBenefitObjective& objective,
 Assignment RemoveTaskAndRepair(const MutualBenefitObjective& objective,
                                const Assignment& current, TaskId t,
                                RepairStats* stats = nullptr);
-
-/// Worker `w` just arrived (it exists in the market, `current` holds none
-/// of its edges): greedily assign it its best positive-marginal feasible
-/// edges. Localized — only w's incident edges are candidates, nothing
-/// already assigned moves.
-Assignment AddWorkerAndRepair(const MutualBenefitObjective& objective,
-                              const Assignment& current, WorkerId w,
-                              RepairStats* stats = nullptr);
-
-/// Task `t` was just posted: greedily staff it from workers with spare
-/// capacity. Symmetric to AddWorkerAndRepair.
-Assignment AddTaskAndRepair(const MutualBenefitObjective& objective,
-                            const Assignment& current, TaskId t,
-                            RepairStats* stats = nullptr);
-
-/// Worker `w`'s attributes changed in the market `objective` now wraps
-/// (capacity raised or lowered, cost shifted): re-fit its assignments.
-/// Every other pair of `current` is kept; w's previous edges are re-added
-/// best-marginal-first while feasible (so a capacity cut sheds the least
-/// valuable ones), then the slack around w and its affected tasks is
-/// greedily refilled. `current` may be infeasible *at w* under the new
-/// capacity — that is the expected input.
-Assignment PatchWorkerAndRepair(const MutualBenefitObjective& objective,
-                                const Assignment& current, WorkerId w,
-                                RepairStats* stats = nullptr);
-
-/// Task-side twin of PatchWorkerAndRepair, covering capacity, payment,
-/// and value changes on task `t` (a payment change moves every incident
-/// edge's worker benefit, so t's pairs are re-chosen under the new
-/// attributes).
-Assignment PatchTaskAndRepair(const MutualBenefitObjective& objective,
-                              const Assignment& current, TaskId t,
-                              RepairStats* stats = nullptr);
 
 }  // namespace mbta
 

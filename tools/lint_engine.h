@@ -80,13 +80,6 @@ struct Violation {
 ///       Waiver: taint-ok on the sink line (neutralizes the sink) or on
 ///       an intermediate frame's definition line (barrier: paths through
 ///       that function are trusted).
-///   R11 lock discipline, cross-TU: a field declared MBTA_GUARDED_BY(mu)
-///       must only be written in functions that hold `mu` (MutexLock /
-///       MBTA_OBS_LOCK / std::*_lock / .Lock() earlier in the body),
-///       declare MBTA_REQUIRES(mu), or are ctors/dtors/NO_TSA; REQUIRES
-///       contracts must hold at precisely-resolved call sites; and two
-///       mutexes of the same class must be acquired in one global order
-///       across all TUs. Waiver: lock-ok.
 ///   R12 waiver hygiene: every `// mbta-lint:` comment in library code
 ///       must carry a known tag, a non-empty reason, and actually
 ///       suppress a finding — an unused waiver is itself an error, so

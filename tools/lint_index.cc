@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <set>
 #include <utility>
 
 namespace mbta::lint {
@@ -261,8 +262,7 @@ FileScope ClassifyPath(std::string_view path) {
 
 // ---------------------------------------------------------------------------
 // The indexer: one forward scan with a scope stack recovers namespaces,
-// classes, and function definitions; a body sub-scan extracts calls and
-// lock acquisitions.
+// classes, and function definitions; a body sub-scan extracts calls.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -289,10 +289,6 @@ const std::set<std::string>& NonCalleeNames() {
       "assert",
   };
   return kSet;
-}
-
-bool IsNoTsaMarker(const std::string& t) {
-  return t == "MBTA_NO_THREAD_SAFETY_ANALYSIS" || t == "MBTA_OBS_NO_TSA";
 }
 
 class Indexer {
@@ -422,7 +418,7 @@ class Indexer {
       std::string name;
       while (j < Size()) {
         if (IsIdent(j)) {
-          if (IsPunct(j + 1, "(")) {  // MBTA_CAPABILITY("mutex") etc.
+          if (IsPunct(j + 1, "(")) {  // alignas(64) etc.
             j = SkipParens(j + 1);
             continue;
           }
@@ -460,38 +456,6 @@ class Indexer {
       return;
     }
 
-    // Guarded-field annotation at class scope:
-    //   T field MBTA_GUARDED_BY(mu_);
-    if (!stack_.empty() && stack_.back().kind == Scope::kClass &&
-        (text == "MBTA_GUARDED_BY" || text == "MBTA_OBS_GUARDED_BY" ||
-         text == "MBTA_PT_GUARDED_BY") &&
-        IsPunct(i + 1, "(")) {
-      GuardedField gf;
-      gf.class_name = stack_.back().name;
-      gf.line = Tok(i).line;
-      if (i > 0 && IsIdent(i - 1)) gf.field = Tok(i - 1).text;
-      const std::size_t close = SkipParens(i + 1);
-      for (std::size_t j = i + 2; j + 1 < close; ++j) {
-        if (IsIdent(j)) gf.mutex = Tok(j).text;
-      }
-      if (!gf.field.empty() && !gf.mutex.empty()) {
-        out_->guarded_fields.push_back(std::move(gf));
-      }
-      *ip = close;
-      return;
-    }
-
-    // Mutex-typed field at class scope: `Mutex mu_;` / `std::mutex mu_;`
-    // (possibly `mutable`). Records the class's lockable names so the
-    // lock-order pass can qualify acquisitions.
-    if (!stack_.empty() && stack_.back().kind == Scope::kClass &&
-        (text == "Mutex" || text == "mutex") && IsIdent(i + 1) &&
-        IsPunct(i + 2, ";")) {
-      out_->class_mutexes[stack_.back().name].insert(Tok(i + 1).text);
-      *ip = i + 3;
-      return;
-    }
-
     // Function definition / declaration: `[Class ::] name ( ... )` at
     // namespace or class scope.
     const bool at_decl_scope =
@@ -512,52 +476,21 @@ class Indexer {
     // Qualifier chain directly before the name: `A::B::name` — keep the
     // last component as the class.
     std::string class_name;
-    bool is_dtor = false;
-    {
-      std::size_t q = name_at;
-      while (q >= 2 && IsPunct(q - 1, "::") && IsIdent(q - 2)) {
-        class_name = Tok(q - 2).text;
-        q -= 2;
-        break;  // last component only
-      }
-      if (name_at >= 1 && IsPunct(name_at - 1, "~")) is_dtor = true;
+    if (name_at >= 2 && IsPunct(name_at - 1, "::") && IsIdent(name_at - 2)) {
+      class_name = Tok(name_at - 2).text;
     }
     if (class_name.empty()) class_name = CurrentClass();
 
     const std::size_t after_params = SkipParens(name_at + 1);
-    // Scan the tail between ')' and '{' / ';', collecting contracts.
-    std::vector<std::string> requires_mutexes;
-    bool no_tsa = false;
+    // Scan the tail between ')' and '{' / ';'.
     std::size_t j = after_params;
     while (j < Size()) {
-      if (IsPunct(j, ";")) {
-        // Declaration: record contract info for cross-TU merging.
-        const std::string qualified = class_name.empty()
-                                          ? Tok(name_at).text
-                                          : class_name + "::" +
-                                                Tok(name_at).text;
-        if (!requires_mutexes.empty()) {
-          out_->requires_decls[qualified] = requires_mutexes;
-        }
-        if (no_tsa) out_->no_tsa_decls.insert(qualified);
+      if (IsPunct(j, ";")) {  // declaration
         *ip = j + 1;
         return true;
       }
       if (IsPunct(j, "{")) break;  // definition body
       if (IsPunct(j, "}")) return false;  // ran off the scope; not a fn
-      if (IsIdent(j, "MBTA_REQUIRES") && IsPunct(j + 1, "(")) {
-        const std::size_t close = SkipParens(j + 1);
-        for (std::size_t k = j + 2; k + 1 < close; ++k) {
-          if (IsIdent(k)) requires_mutexes.push_back(Tok(k).text);
-        }
-        j = close;
-        continue;
-      }
-      if (IsIdent(j) && IsNoTsaMarker(Tok(j).text)) {
-        no_tsa = true;
-        ++j;
-        continue;
-      }
       if (IsPunct(j, "=")) {
         // `= 0`, `= default`, `= delete`: a declaration; scan to ';'.
         while (j < Size() && !IsPunct(j, ";")) ++j;
@@ -603,48 +536,18 @@ class Indexer {
     fn.file = file_id_;
     fn.body_begin = j + 1;
     fn.body_end = SkipBraces(j) - 1;  // index of the closing '}'
-    fn.is_ctor_or_dtor = is_dtor || fn.name == class_name;
-    fn.no_tsa = no_tsa;
-    fn.requires_mutexes = std::move(requires_mutexes);
     ExtractBody(&fn);
     *ip = fn.body_end + 1;
     out_->functions.push_back(std::move(fn));
     return true;
   }
 
-  /// Collects call sites and lock acquisitions from a body token range.
+  /// Collects call sites from a body token range.
   void ExtractBody(FunctionInfo* fn) {
     const auto& skip = NonCalleeNames();
     for (std::size_t i = fn->body_begin; i < fn->body_end; ++i) {
       if (!IsIdent(i)) continue;
       const std::string& t = Tok(i).text;
-
-      // Lock acquisitions.
-      if (t == "MutexLock" && IsIdent(i + 1) && IsPunct(i + 2, "(")) {
-        RecordLockArgs(fn, i + 2, SkipParens(i + 2));
-        continue;
-      }
-      if (t == "MBTA_OBS_LOCK" && IsPunct(i + 1, "(")) {
-        RecordLockArgs(fn, i + 1, SkipParens(i + 1));
-        continue;
-      }
-      if ((t == "unique_lock" || t == "lock_guard" ||
-           t == "scoped_lock")) {
-        std::size_t j = i + 1;
-        if (IsPunct(j, "<")) j = SkipTemplateArgs(j);
-        if (IsIdent(j) && IsPunct(j + 1, "(")) {
-          RecordLockArgs(fn, j + 1, SkipParens(j + 1));
-        }
-        continue;
-      }
-      if ((t == "Lock" || t == "lock") && IsPunct(i + 1, "(") &&
-          IsPunct(i + 2, ")") && i >= 2 &&
-          (IsPunct(i - 1, ".") || IsPunct(i - 1, "->")) && IsIdent(i - 2)) {
-        fn->locks.push_back(
-            LockAcquisition{Tok(i - 2).text, Tok(i).line, i});
-        continue;
-      }
-
       if (skip.count(t) != 0) continue;
 
       // Plain or qualified or member call: name(...).
@@ -653,9 +556,7 @@ class Indexer {
         cs.name = t;
         cs.line = Tok(i).line;
         cs.token = i;
-        if (i >= 1 && (IsPunct(i - 1, ".") || IsPunct(i - 1, "->"))) {
-          cs.member = true;
-        } else if (i >= 2 && IsPunct(i - 1, "::") && IsIdent(i - 2)) {
+        if (i >= 2 && IsPunct(i - 1, "::") && IsIdent(i - 2)) {
           cs.qualifier = Tok(i - 2).text;
         }
         fn->calls.push_back(std::move(cs));
@@ -681,33 +582,6 @@ class Indexer {
         fn->calls.push_back(std::move(cs));
         continue;
       }
-    }
-  }
-
-  /// Records one acquisition per comma-separated argument group inside a
-  /// lock call's parens (`open` points at '(', `close` one past ')').
-  /// The group's last identifier names the mutex: `&mu_`, `other.mu_`
-  /// and plain `mu_` all resolve to `mu_`.
-  void RecordLockArgs(FunctionInfo* fn, std::size_t open,
-                      std::size_t close) {
-    std::string last;
-    std::size_t at = open;
-    for (std::size_t j = open + 1; j + 1 < close; ++j) {
-      if (IsPunct(j, ",")) {
-        if (!last.empty()) {
-          fn->locks.push_back(
-              LockAcquisition{last, Tok(at).line, at});
-          last.clear();
-        }
-        continue;
-      }
-      if (IsIdent(j)) {
-        last = Tok(j).text;
-        at = j;
-      }
-    }
-    if (!last.empty()) {
-      fn->locks.push_back(LockAcquisition{last, Tok(at).line, at});
     }
   }
 
@@ -742,23 +616,6 @@ RepoIndex BuildRepoIndex(const std::vector<SourceFile>& files) {
       FunctionInfo& fn = fi.functions[k];
       fn.file = fid;
       index.functions_by_name[fn.name].emplace_back(fid, k);
-      // Merge contract info from in-class declarations (the prototype
-      // may carry MBTA_REQUIRES / no-TSA markers the out-of-line
-      // definition does not repeat).
-      for (const FileIndex& other : index.files) {
-        const auto rit = other.requires_decls.find(fn.qualified);
-        if (rit != other.requires_decls.end() &&
-            fn.requires_mutexes.empty()) {
-          fn.requires_mutexes = rit->second;
-        }
-        if (other.no_tsa_decls.count(fn.qualified) != 0) fn.no_tsa = true;
-      }
-    }
-    for (const GuardedField& gf : fi.guarded_fields) {
-      index.guards_by_class[gf.class_name][gf.field] = gf.mutex;
-    }
-    for (const auto& [cls, mutexes] : fi.class_mutexes) {
-      index.mutexes_by_class[cls].insert(mutexes.begin(), mutexes.end());
     }
   }
   return index;

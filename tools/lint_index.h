@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,18 +98,9 @@ struct SourceFile {
 struct CallSite {
   std::string name;       // unqualified callee name
   std::string qualifier;  // last `X` of `X::name(...)`, else ""
-  bool member = false;    // obj.name(...) / obj->name(...)
   bool ctor_style = false;  // `Type var;` / `Type var(...)` declaration
   int line = 0;
   std::size_t token = 0;  // index of the name token in the file's stream
-};
-
-/// One lock acquisition inside a function body (MutexLock, MBTA_OBS_LOCK,
-/// std::unique_lock / lock_guard / scoped_lock, or a direct .Lock()).
-struct LockAcquisition {
-  std::string mutex;  // last identifier of the lock expression
-  int line = 0;
-  std::size_t token = 0;  // index into the file's token stream
 };
 
 struct FunctionInfo {
@@ -121,19 +111,7 @@ struct FunctionInfo {
   std::size_t file = 0;    // index into RepoIndex::files
   std::size_t body_begin = 0;  // token range of the body, half-open
   std::size_t body_end = 0;
-  bool is_ctor_or_dtor = false;
-  bool no_tsa = false;  // MBTA_OBS_NO_TSA / MBTA_NO_THREAD_SAFETY_ANALYSIS
-  std::vector<std::string> requires_mutexes;  // MBTA_REQUIRES(...)
   std::vector<CallSite> calls;
-  std::vector<LockAcquisition> locks;
-};
-
-/// A field declared `T field MBTA_GUARDED_BY(mu);` (or the OBS variant).
-struct GuardedField {
-  std::string class_name;
-  std::string field;
-  std::string mutex;
-  int line = 0;
 };
 
 struct FileIndex {
@@ -141,13 +119,6 @@ struct FileIndex {
   FileScope scope;
   LexResult lex;
   std::vector<FunctionInfo> functions;  // definitions in this file
-  std::vector<GuardedField> guarded_fields;
-  // class -> names of mutex-typed fields (mbta::Mutex / std::mutex).
-  std::map<std::string, std::set<std::string>> class_mutexes;
-  // Contract info harvested from *declarations* (in-class prototypes):
-  // qualified name -> REQUIRES mutexes / no_tsa marker.
-  std::map<std::string, std::vector<std::string>> requires_decls;
-  std::set<std::string> no_tsa_decls;
   // Include-graph edges: repo-relative #include "..." targets.
   std::vector<std::string> repo_includes;
 };
@@ -158,10 +129,6 @@ struct RepoIndex {
   // definition. The resolution seam for the call graph.
   std::map<std::string, std::vector<std::pair<std::size_t, std::size_t>>>
       functions_by_name;
-  // class -> field -> guarding mutex, merged across files.
-  std::map<std::string, std::map<std::string, std::string>> guards_by_class;
-  // class -> mutex field names, merged across files.
-  std::map<std::string, std::set<std::string>> mutexes_by_class;
 
   const FunctionInfo& Fn(std::pair<std::size_t, std::size_t> id) const {
     return files[id.first].functions[id.second];

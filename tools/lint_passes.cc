@@ -22,7 +22,7 @@ const std::map<std::string, std::string>& TagRules() {
       {"unordered-ok", "R1"}, {"nondet-ok", "R2"}, {"float-eq-ok", "R3"},
       {"stdout-ok", "R4"},    {"name-ok", "R5"},   {"include-ok", "R6"},
       {"clock-ok", "R7"},     {"thread-ok", "R8"}, {"alloc-ok", "R9"},
-      {"taint-ok", "R10"},    {"lock-ok", "R11"},
+      {"taint-ok", "R10"},
   };
   return kTags;
 }
@@ -86,15 +86,6 @@ struct TokenView {
       if (IsPunct(i, "<")) ++depth;
       if (IsPunct(i, ">") && --depth == 0) return i + 1;
       if (IsPunct(i, ";")) return i;
-    }
-    return i;
-  }
-
-  std::size_t SkipBrackets(std::size_t i) const {  // i points at '['
-    int depth = 0;
-    for (; i < Size(); ++i) {
-      if (IsPunct(i, "[")) ++depth;
-      if (IsPunct(i, "]") && --depth == 0) return i + 1;
     }
     return i;
   }
@@ -470,202 +461,6 @@ void PassTaint(PassState* st) {
 }
 
 // ---------------------------------------------------------------------------
-// R11 — lock discipline.
-// ---------------------------------------------------------------------------
-
-bool HoldsMutex(const FunctionInfo& fn, const std::string& mutex,
-                std::size_t before_token) {
-  for (const std::string& m : fn.requires_mutexes) {
-    if (m == mutex) return true;
-  }
-  for (const LockAcquisition& l : fn.locks) {
-    if (l.mutex == mutex && l.token < before_token) return true;
-  }
-  return false;
-}
-
-void PassGuardedWrites(PassState* st) {
-  static const std::set<std::string> kMutators = {
-      "push_back", "emplace_back", "emplace", "clear",  "insert",
-      "erase",     "resize",       "assign",  "pop_back", "push",
-      "pop",       "reset",        "swap",    "store"};
-  const RepoIndex& index = st->index;
-  for (std::size_t fid = 0; fid < index.files.size(); ++fid) {
-    const FileIndex& fi = index.files[fid];
-    const TokenView v{fi.lex.tokens};
-    for (std::size_t k = 0; k < fi.functions.size(); ++k) {
-      const FunctionInfo& fn = fi.functions[k];
-      if (fn.is_ctor_or_dtor || fn.no_tsa || fn.class_name.empty()) {
-        continue;
-      }
-      const auto git = index.guards_by_class.find(fn.class_name);
-      if (git == index.guards_by_class.end()) continue;
-      const auto& guards = git->second;
-      for (std::size_t i = fn.body_begin; i < fn.body_end; ++i) {
-        if (!v.IsIdent(i)) continue;
-        const auto fit = guards.find(v.Tok(i).text);
-        if (fit == guards.end()) continue;
-        // `other.field` is a different object; `Class::field` is not a
-        // write target in this grammar either.
-        if (i > 0 && (v.IsPunct(i - 1, ".") || v.IsPunct(i - 1, "->") ||
-                      v.IsPunct(i - 1, "::"))) {
-          continue;
-        }
-        // Write forms: =, op=, ++/-- (either side), [..] =, mutating
-        // member calls. `==`/`!=` lex as single tokens, so a bare `=`
-        // punct is always assignment.
-        bool write = false;
-        std::size_t j = i + 1;
-        if (v.IsPunct(j, "[")) j = v.SkipBrackets(j);
-        static const std::set<std::string> kCompound = {"+", "-", "*", "/",
-                                                        "%", "&", "|", "^"};
-        if (v.IsPunct(j, "=")) {
-          write = true;
-        } else if (j < v.Size() && v.Tok(j).kind == Token::Kind::kPunct &&
-                   kCompound.count(v.Tok(j).text) != 0 &&
-                   (v.IsPunct(j + 1, "=") ||
-                    (v.Tok(j).text != "*" && v.Tok(j).text != "&" &&
-                     v.IsPunct(j + 1, v.Tok(j).text) &&
-                     (v.Tok(j).text == "+" || v.Tok(j).text == "-")))) {
-          // `x += e`, `x++` / `x--` (postfix).
-          write = true;
-        } else if (i >= 2 && v.IsPunct(i - 1, "+") && v.IsPunct(i - 2, "+")) {
-          write = true;  // prefix ++
-        } else if (i >= 2 && v.IsPunct(i - 1, "-") && v.IsPunct(i - 2, "-")) {
-          write = true;  // prefix --
-        } else if ((v.IsPunct(j, ".") || v.IsPunct(j, "->")) &&
-                   v.IsIdent(j + 1) &&
-                   kMutators.count(v.Tok(j + 1).text) != 0 &&
-                   v.IsPunct(j + 2, "(")) {
-          write = true;
-        }
-        if (!write) continue;
-        const std::string& mutex = fit->second;
-        if (HoldsMutex(fn, mutex, i)) continue;
-        const int line = v.Tok(i).line;
-        if (st->book.Consume(fi, line, "lock-ok")) continue;
-        if (st->book.Consume(fi, fn.line, "lock-ok")) continue;
-        st->out->push_back(Violation{
-            fi.path, line, "R11",
-            "field '" + fit->first + "' is declared GUARDED_BY(" + mutex +
-                ") but " + fn.qualified +
-                " writes it without holding the mutex: acquire it "
-                "(MutexLock / MBTA_OBS_LOCK) before the write, annotate "
-                "the function MBTA_REQUIRES(" +
-                mutex +
-                "), or waive with // mbta-lint: lock-ok(reason)"});
-      }
-    }
-  }
-}
-
-void PassRequiresCallSites(PassState* st) {
-  const RepoIndex& index = st->index;
-  for (std::size_t fid = 0; fid < index.files.size(); ++fid) {
-    const FileIndex& fi = index.files[fid];
-    for (std::size_t k = 0; k < fi.functions.size(); ++k) {
-      const FunctionInfo& fn = fi.functions[k];
-      if (fn.no_tsa) continue;
-      std::set<std::string> reported;
-      for (const CallSite& cs : fn.calls) {
-        // Precise resolutions only: unqualified self-calls and explicit
-        // `Class::fn` qualifiers. Member calls through arbitrary objects
-        // are skipped — name-level resolution cannot tell whose mutex
-        // the contract names.
-        if (cs.member) continue;
-        const std::string want_class =
-            cs.qualifier.empty() ? fn.class_name : cs.qualifier;
-        if (want_class.empty()) continue;
-        const auto it = index.functions_by_name.find(cs.name);
-        if (it == index.functions_by_name.end()) continue;
-        for (const FuncRef& ref : it->second) {
-          const FunctionInfo& target = index.Fn(ref);
-          if (target.class_name != want_class) continue;
-          for (const std::string& m : target.requires_mutexes) {
-            if (HoldsMutex(fn, m, cs.token)) continue;
-            const std::string key =
-                std::to_string(cs.line) + "|" + target.qualified + "|" + m;
-            if (!reported.insert(key).second) continue;
-            if (st->book.Consume(fi, cs.line, "lock-ok")) continue;
-            if (st->book.Consume(fi, fn.line, "lock-ok")) continue;
-            st->out->push_back(Violation{
-                fi.path, cs.line, "R11",
-                target.qualified + " REQUIRES(" + m + ") but " +
-                    fn.qualified +
-                    " calls it without holding the mutex: acquire it "
-                    "before the call, propagate MBTA_REQUIRES(" +
-                    m +
-                    ") to the caller, or waive with "
-                    "// mbta-lint: lock-ok(reason)"});
-          }
-        }
-      }
-    }
-  }
-}
-
-void PassLockOrder(PassState* st) {
-  struct Witness {
-    std::size_t file = 0;
-    int line = 0;
-    FuncRef fn{0, 0};
-  };
-  // (first-acquired, second-acquired) -> first witness site, with mutex
-  // names qualified as Class::field so the order is comparable across
-  // TUs. Unqualifiable acquisitions (locals, parameters) are skipped.
-  std::map<std::pair<std::string, std::string>, Witness> pairs;
-  const RepoIndex& index = st->index;
-  for (std::size_t fid = 0; fid < index.files.size(); ++fid) {
-    const FileIndex& fi = index.files[fid];
-    for (std::size_t k = 0; k < fi.functions.size(); ++k) {
-      const FunctionInfo& fn = fi.functions[k];
-      if (fn.no_tsa) continue;
-      std::vector<std::pair<std::string, const LockAcquisition*>> quals;
-      const auto mit = index.mutexes_by_class.find(fn.class_name);
-      for (const LockAcquisition& l : fn.locks) {
-        if (mit != index.mutexes_by_class.end() &&
-            mit->second.count(l.mutex) != 0) {
-          quals.emplace_back(fn.class_name + "::" + l.mutex, &l);
-        }
-      }
-      for (std::size_t a = 0; a < quals.size(); ++a) {
-        for (std::size_t b = a + 1; b < quals.size(); ++b) {
-          if (quals[a].first == quals[b].first) continue;
-          const auto key = std::make_pair(quals[a].first, quals[b].first);
-          if (pairs.count(key) != 0) continue;
-          pairs.emplace(key,
-                        Witness{fid, quals[b].second->line, {fid, k}});
-        }
-      }
-    }
-  }
-  for (const auto& [key, witness] : pairs) {
-    if (key.first >= key.second) continue;  // handle each unordered pair once
-    const auto rit = pairs.find(std::make_pair(key.second, key.first));
-    if (rit == pairs.end()) continue;
-    // Report at the site acquiring in the lexicographically-reversed
-    // direction so the finding is stable across runs.
-    const Witness& w = rit->second;
-    const FileIndex& fi = index.files[w.file];
-    const FunctionInfo& fn = index.Fn(w.fn);
-    const Witness& other = pairs.at(key);
-    const FileIndex& ofi = index.files[other.file];
-    if (st->book.Consume(fi, w.line, "lock-ok")) continue;
-    if (st->book.Consume(fi, fn.line, "lock-ok")) continue;
-    st->out->push_back(Violation{
-        fi.path, w.line, "R11",
-        "inconsistent lock order across TUs: " + fn.qualified +
-            " acquires " + key.second + " then " + key.first + " (" +
-            fi.path + ":" + std::to_string(w.line) + ") but " +
-            index.Fn(other.fn).qualified + " acquires " + key.first +
-            " then " + key.second + " (" + ofi.path + ":" +
-            std::to_string(other.line) +
-            "); pick one global order or waive with "
-            "// mbta-lint: lock-ok(reason)"});
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Call-graph-aware R9 — allocation reachable from a hot loop.
 // ---------------------------------------------------------------------------
 
@@ -873,9 +668,6 @@ AnalyzeResult AnalyzeRepo(const std::vector<SourceFile>& files) {
   PassState st{index, WaiverBook(&used), &result.violations, {}, {}, {}};
   BuildCallGraph(&st);
   PassTaint(&st);
-  PassGuardedWrites(&st);
-  PassRequiresCallSites(&st);
-  PassLockOrder(&st);
   PassCallGraphAlloc(&st);
   PassWaiverHygiene(index, used, &result.violations, &result.waivers);
 
@@ -1016,7 +808,6 @@ std::string SarifReport(const std::vector<Violation>& violations) {
       {"R8", "No raw threading primitives in library code outside src/util"},
       {"R9", "No heap allocation in (or reachable from) solver loops"},
       {"R10", "No call path from a solver entry to a nondeterminism sink"},
-      {"R11", "GUARDED_BY/REQUIRES lock discipline holds across TUs"},
       {"R12", "Every waiver is known, reasoned, and still used"},
   };
   JsonWriter w;

@@ -10,8 +10,8 @@
 
 /// The whole-program passes of mbta_lint, layered on the repo index
 /// (tools/lint_index.h): the determinism-taint pass (R10), the
-/// lock-discipline pass (R11), the call-graph-aware extension of R9, and
-/// waiver hygiene (R12) with the committed LINT_LEDGER.json budget.
+/// call-graph-aware extension of R9, and waiver hygiene (R12) with the
+/// committed LINT_LEDGER.json budget.
 /// Semantics and approximations are documented per pass in
 /// CONTRIBUTING.md, "Static analysis".
 namespace mbta::lint {
@@ -21,7 +21,7 @@ namespace mbta::lint {
 /// are not serialized: the ledger is keyed by (rule, tag, file, reason)
 /// so ordinary edits that shift lines do not churn it.
 struct LedgerEntry {
-  std::string rule;    // "R1" .. "R11" (the rule the tag suppresses)
+  std::string rule;    // "R1" .. "R10" (the rule the tag suppresses)
   std::string tag;     // "unordered-ok", "taint-ok", ...
   std::string file;    // repo-relative path
   int line = 0;        // head position (diagnostic only)
@@ -40,7 +40,7 @@ struct AnalyzeResult {
 
 /// Runs the full stack over `files` (paths + contents; no filesystem
 /// access): per-file rules R1–R9 on every file, then the repo index and
-/// the whole-program passes R10/R11/call-graph-R9 over the library
+/// the whole-program passes R10/call-graph-R9 over the library
 /// subset, then R12 over the collected waivers. Violations come back
 /// sorted by (file, line, rule, message); waivers by (file, line, tag).
 AnalyzeResult AnalyzeRepo(const std::vector<SourceFile>& files);

@@ -2,8 +2,8 @@
 //
 // A dependency-free, token-level checker for repo-specific invariants the
 // compiler cannot see: per-file rules R1–R9 plus whole-program passes over
-// a repo index — determinism taint (R10), lock discipline (R11), a
-// call-graph-aware R9, and waiver hygiene (R12) with a committed ledger
+// a repo index — determinism taint (R10), a call-graph-aware R9, and
+// waiver hygiene (R12) with a committed ledger
 // (rule catalog in tools/lint_engine.h and CONTRIBUTING.md, "Static
 // analysis"). Intended use:
 //
